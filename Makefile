@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore bench-record bench-gate serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
 
 # Tier-1 verify: build, vet, formatting, tests.
 verify: build vet fmt-check test
@@ -77,6 +77,13 @@ bench-record:
 # measurement lands in BENCH_explore.ci.json for CI to upload.
 bench-gate:
 	$(GO) run ./cmd/asyncg bench -benchtime 3x -out BENCH_explore.ci.json -gate BENCH_explore.json
+
+# The benchmark module's own correctness checks (about 5 s): served
+# results byte-identical to direct runs, 1- vs 2-worker identity, and
+# fingerprint playback. bench/ is its own module, so `make test` does
+# not reach it.
+bench-smoke:
+	cd bench && $(GO) test -short .
 
 # Documentation checks: every exported Go declaration carries a doc
 # comment (cmd/doclint, stdlib-only) and every relative link in the

@@ -136,10 +136,9 @@ func AcmeAirTarget(requests, clients int, seed int64) Target {
 }
 
 // acmeAirRunner reuses one session (loop, network, database, graph
-// builder, detectors) across repeated AcmeAir executions. The sample
-// data, application, and workload driver are rebuilt per run — Reset
-// wipes the database and the network's connection state — but their
-// storage comes back out of the session's pools warm.
+// builder, detectors) across repeated AcmeAir executions. The sample data
+// is loaded and sealed once, so Reset restores it (mongosim.DB.Seal); the
+// application and workload driver are rebuilt per run from warm pools.
 type acmeAirRunner struct {
 	requests, clients int
 	seed              int64
@@ -156,10 +155,11 @@ func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 		loop := r.session.Loop()
 		r.net = netio.New(loop, netio.Options{})
 		r.db = mongosim.New(loop, mongosim.Options{})
+		acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
+		r.db.Seal()
 	} else {
 		r.session.Apply(extra...)
 	}
-	acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
 	app := acmeair.New(r.session.Loop(), r.net, r.db, acmeair.Config{UsePromises: true})
 	driver := workload.NewDriver(r.net, workload.Options{
 		Port:     app.Port(),

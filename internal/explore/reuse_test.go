@@ -12,30 +12,38 @@ import (
 // Run-only falls back to funcRunner (cold runtime every schedule),
 // NewRunner-only reuses pooled loop/graph/detector state. Run under
 // -race this also exercises the handoff of pooled choosers and RNGs
-// between the coordinator and worker goroutines.
+// between the coordinator and worker goroutines. The AcmeAir legs cover
+// the sealed sample database: a reused runner restores it on Reset
+// where a fresh runtime loads it anew, and every schedule that books a
+// flight writes to it.
 func TestRunnerReuseMatchesFresh(t *testing.T) {
-	tg := caseTarget(t, "SO-17894000")
-	fresh := tg
-	fresh.NewRunner = nil // one-shot fallback only
-	reused := tg
-	reused.Run = nil // pooled runner only
+	so := caseTarget(t, "SO-17894000")
+	acme := AcmeAirTarget(8, 2, 1)
 
 	// Options are rebuilt per exploration: strategies like coverage are
 	// stateful objects, and sharing one instance across explorations
 	// would leak corpus from run to run.
 	configs := []struct {
-		name string
-		opts func() []Option
+		name    string
+		target  Target
+		workers []int
+		opts    func() []Option
 	}{
-		{"random", func() []Option { return []Option{WithSeed(5), WithRuns(24)} }},
-		{"random-metrics", func() []Option { return []Option{WithSeed(5), WithRuns(12), WithRunMetrics()} }},
-		{"delay", func() []Option { return []Option{WithStrategy(NewDelay(9, 2)), WithRuns(16)} }},
-		{"coverage", func() []Option { return []Option{WithStrategy(NewCoverage(11)), WithRuns(24)} }},
+		{"random", so, []int{1, 4, 8}, func() []Option { return []Option{WithSeed(5), WithRuns(24)} }},
+		{"random-metrics", so, []int{1, 4, 8}, func() []Option { return []Option{WithSeed(5), WithRuns(12), WithRunMetrics()} }},
+		{"delay", so, []int{1, 4, 8}, func() []Option { return []Option{WithStrategy(NewDelay(9, 2)), WithRuns(16)} }},
+		{"coverage", so, []int{1, 4, 8}, func() []Option { return []Option{WithStrategy(NewCoverage(11)), WithRuns(24)} }},
+		{"acmeair-exhaustive-por", acme, []int{1, 2}, func() []Option { return []Option{WithStrategy(NewExhaustive(true)), WithRuns(32)} }},
+		{"acmeair-coverage", acme, []int{1, 2}, func() []Option { return []Option{WithStrategy(NewCoverage(3)), WithRuns(16)} }},
 	}
 	for _, tc := range configs {
+		fresh := tc.target
+		fresh.NewRunner = nil // one-shot fallback only
+		reused := tc.target
+		reused.Run = nil // pooled runner only
 		t.Run(tc.name, func(t *testing.T) {
 			var want string
-			for _, workers := range []int{1, 4, 8} {
+			for _, workers := range tc.workers {
 				freshOpts := append(tc.opts(), WithWorkers(workers))
 				reuseOpts := append(tc.opts(), WithWorkers(workers))
 				freshJSON := resultJSON(t, mustRun(t, fresh, freshOpts...))
@@ -107,12 +115,12 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 // TestAcmeAirRunnerSteadyStateAllocs gates the runner contract's
 // allocation claim on the heaviest target: once an acmeAirRunner is
 // warm, Reset+Run must recycle the session's arenas instead of
-// rebuilding them. Per-run state (sample data, app wiring, workload
-// driver) legitimately allocates on every run whichever path executes,
-// so the gate is relative: a warm runner must allocate measurably less
-// than a fresh session per run. A Reset regression that stops recycling
-// pushes the ratio to ~1.0; the warm path measures ~0.82 on this
-// workload.
+// rebuilding them, and must restore the sealed sample database instead
+// of loading it again. App wiring and the workload driver still allocate
+// on every run whichever path executes, so the gate is relative: the
+// warm path measures ~0.35 of a fresh session's allocations on this
+// workload. Reloading the sample data per run pushes the ratio to ~0.75,
+// a Reset that stops recycling to ~1.0.
 func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acmeair steady-state allocation gate in -short mode")
@@ -136,7 +144,7 @@ func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("fresh run: %v", err)
 		}
 	})
-	if ratio := steady / fresh; ratio > 0.95 {
-		t.Errorf("steady-state AllocsPerRun = %.0f vs fresh-session %.0f (ratio %.2f, want <= 0.95): runner reuse regressed to fresh-session allocation", steady, fresh, ratio)
+	if ratio := steady / fresh; ratio > 0.45 {
+		t.Errorf("steady-state AllocsPerRun = %.0f vs fresh-session %.0f (ratio %.2f, want <= 0.45): runner reuse regressed toward fresh-session allocation", steady, fresh, ratio)
 	}
 }

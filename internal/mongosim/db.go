@@ -32,14 +32,23 @@ const (
 // DB is a simulated MongoDB instance bound to one event loop.
 //
 // The DB participates in the session Reset protocol: a loop reset
-// empties every collection and restarts the _id sequence, while the
-// collection objects themselves (and their interned API names) persist
-// for the next run, as do pooled op/hop records and cursor emitters.
+// returns every collection and the _id sequence to the sealed image (see
+// Seal) — or, on a DB that was never sealed, empties every collection
+// and restarts the _id sequence — while the collection objects
+// themselves (and their interned API names) persist for the next run,
+// as do pooled op/hop records and cursor emitters.
 type DB struct {
 	loop        *eventloop.Loop
 	opts        Options
 	collections map[string]*Collection
 	idSeq       int64
+
+	// sealed marks a DB with a reset image: imageSeq is the _id sequence
+	// Seal recorded, and undo logs every in-place field write made since
+	// the last reset so reset can roll the image documents back.
+	sealed   bool
+	imageSeq int64
+	undo     []undoEntry
 
 	opFree     []*opRecord
 	hopFree    []*hopper
@@ -64,15 +73,52 @@ func New(l *eventloop.Loop, opts Options) *DB {
 	return db
 }
 
-func (db *DB) reset() {
+// undoEntry is one logged in-place write: doc[key] held old before it
+// (present reports whether the key existed at all).
+type undoEntry struct {
+	doc     Document
+	key     string
+	old     any
+	present bool
+}
+
+// Seal records every collection's current documents and the _id
+// sequence as the state each later loop reset restores, so a data set
+// loaded once serves run after run instead of being re-inserted per
+// run. The image keeps the documents themselves, not copies: after Seal,
+// Update logs each field it overwrites and reset replays the log
+// backwards. That is sound only while every write to a stored document
+// goes through Update — a caller that mutates returned documents
+// directly must not Seal. Sealing again replaces the image.
+func (db *DB) Seal() {
 	for _, col := range db.collections {
-		for i := range col.docs {
-			col.docs[i] = nil
+		col.image = append(col.image[:0], col.docs...)
+	}
+	db.sealed = true
+	db.imageSeq = db.idSeq
+	db.undo = db.undo[:0]
+}
+
+func (db *DB) reset() {
+	for i := len(db.undo) - 1; i >= 0; i-- {
+		u := db.undo[i]
+		if u.present {
+			u.doc[u.key] = u.old
+		} else {
+			delete(u.doc, u.key)
 		}
-		col.docs = col.docs[:0]
+		db.undo[i] = undoEntry{}
+	}
+	db.undo = db.undo[:0]
+	for _, col := range db.collections {
+		n := len(col.docs)
+		col.docs = append(col.docs[:0], col.image...)
+		if n > len(col.docs) {
+			clear(col.docs[len(col.docs):n])
+		}
 		col.key = 0
 	}
-	db.idSeq = 0
+	db.idSeq = db.imageSeq
 	for i, cur := range db.allCursors {
 		db.cursorFree = append(db.cursorFree, cur)
 		db.allCursors[i] = nil
@@ -114,11 +160,12 @@ type colAPIs struct {
 
 // Collection is one document collection.
 type Collection struct {
-	db   *DB
-	name string
-	apis colAPIs
-	docs []Document
-	key  uint64 // independence key for read-only ops (POR)
+	db    *DB
+	name  string
+	apis  colAPIs
+	docs  []Document
+	image []Document // documents reset restores (see DB.Seal)
+	key   uint64     // independence key for read-only ops (POR)
 }
 
 // Name returns the collection name.
@@ -523,6 +570,10 @@ func (c *Collection) updateSync(query string, set Document) (int, error) {
 			for k, v := range set {
 				if k == "_id" {
 					return n, fmt.Errorf("mongosim: cannot update _id")
+				}
+				if c.db.sealed {
+					old, present := doc[k]
+					c.db.undo = append(c.db.undo, undoEntry{doc: doc, key: k, old: old, present: present})
 				}
 				doc[k] = v
 			}

@@ -16,10 +16,13 @@ import (
 // Document is one stored record.
 type Document map[string]any
 
-// Get resolves a (possibly dotted) field path.
+// Get resolves a (possibly dotted) field path. It walks the path in
+// place rather than splitting it, so a lookup allocates nothing — every
+// query scan calls it once per document.
 func (d Document) Get(path string) (any, bool) {
 	cur := any(d)
-	for _, part := range strings.Split(path, ".") {
+	for {
+		part, rest, more := strings.Cut(path, ".")
 		m, ok := cur.(Document)
 		if !ok {
 			if mm, ok2 := cur.(map[string]any); ok2 {
@@ -33,8 +36,11 @@ func (d Document) Get(path string) (any, bool) {
 			return nil, false
 		}
 		cur = v
+		if !more {
+			return cur, true
+		}
+		path = rest
 	}
-	return cur, true
 }
 
 // Clone deep-copies one level of the document (values are shared except

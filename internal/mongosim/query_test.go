@@ -1,6 +1,7 @@
 package mongosim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,6 +218,47 @@ func TestMustCompilePanicsOnBadQuery(t *testing.T) {
 		}
 	}()
 	MustCompile(`broken ==`)
+}
+
+// splitGet is the reference path walk Get must agree with: split the
+// path on every dot and resolve the parts in order.
+func splitGet(d Document, path string) (any, bool) {
+	cur := any(d)
+	for _, part := range strings.Split(path, ".") {
+		m, ok := cur.(Document)
+		if !ok {
+			mm, ok := cur.(map[string]any)
+			if !ok {
+				return nil, false
+			}
+			m = Document(mm)
+		}
+		v, ok := m[part]
+		if !ok {
+			return nil, false
+		}
+		cur = v
+	}
+	return cur, true
+}
+
+func TestDocumentGetMatchesSplitWalk(t *testing.T) {
+	doc := Document{
+		"":  "empty key",
+		"a": Document{"b": 1, "": Document{"b": 2}},
+		"s": "scalar",
+		"m": map[string]any{"x": 3},
+	}
+	for _, path := range []string{"", "a", "a.b", "a..b", "a.", "missing", "a.missing", "s.x", "m.x"} {
+		got, gotOK := doc.Get(path)
+		want, wantOK := splitGet(doc, path)
+		if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+			t.Errorf("Get(%q) = %v, %v; split walk gives %v, %v", path, got, gotOK, want, wantOK)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { doc.Get("a..b") }); allocs != 0 {
+		t.Errorf("Get allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 func TestDocumentClone(t *testing.T) {
