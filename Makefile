@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
 
 # Tier-1 verify: build, vet, formatting, tests.
 verify: build vet fmt-check test
@@ -36,6 +36,14 @@ explore-coverage:
 # 8-worker explores must produce byte-identical Result JSON.
 race-explore:
 	$(GO) test -race ./internal/explore/...
+
+# Short native-fuzzing pass over the shard wire decoder: decoded
+# ShardSpecs must validate or fail cleanly, never panic, and accepted
+# ones must run one schedule per plan with replayable tokens. Crashers
+# land in internal/explore/testdata/fuzz/ and are committed as
+# regression seeds.
+fuzz-smoke:
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
 
 # End-to-end smoke of the asyncg serve analysis service: boot, health,
 # a synchronous explore job, NDJSON stream replay, /metrics, and a

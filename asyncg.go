@@ -137,9 +137,9 @@ func WithGraph(cfg asyncgraph.Config) Option {
 // graph config when the session is built. Opt-in because symbolizing a
 // stack per tracked API call dominates the builder's cost (see
 // EXPERIMENTS.md). The exploration layer's [explore.WithDebugStacks]
-// applies this option to every run of an exploration, and
-// [explore.WithChains] builds on it; the canonical semantics table for
-// all three lives in package explore's doc comment.
+// applies this option to the witness replays behind
+// [explore.WithChains]; the canonical semantics table for all three
+// lives in package explore's doc comment.
 func WithDebugStacks() Option {
 	return func(c *config) { c.debugStacks = true }
 }

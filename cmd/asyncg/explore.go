@@ -38,7 +38,7 @@ func runExplore(args []string) int {
 		por        = fs.Bool("por", false, "exhaustive strategy: prune schedule branches proven equivalent by partial-order reduction")
 		minNew     = fs.Int("min-new-graphs", 0, "exit 1 unless at least this many distinct async-graph fingerprints were discovered (CI smoke)")
 		chains     = fs.Bool("chains", false, "attach async causal chains: each classified warning carries its async stack trace (walked on a replay of its witness schedule) in text and NDJSON output; with -replay, print each warning's chain")
-		debugStack = fs.Bool("debug-stacks", false, "capture Go creation call stacks at every promise/emitter creation, trigger, and registration so chain hops show where each node originated (opt-in: measurable overhead, see EXPERIMENTS.md)")
+		debugStack = fs.Bool("debug-stacks", false, "with -chains (or -replay): capture Go creation call stacks at every promise/emitter creation, trigger, and registration during the witness replays, so chain hops show where each node originated; explored schedules never capture stacks")
 		replay     = fs.String("replay", "", "replay one schedule token instead of exploring")
 		ndjsonOut  = fs.String("ndjson", "", "stream NDJSON exploration records to this file ('-' for stdout); run lines are flushed as they complete")
 		traceOut   = fs.String("trace", "", "with -replay: write an event trace of the replayed run")

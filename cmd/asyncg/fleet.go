@@ -34,7 +34,7 @@ func runFleet(args []string) int {
 		shardRuns      = fs.Int("shard-runs", 8, "target shard width in runs")
 		metrics        = fs.Bool("metrics", false, "aggregate per-run trace metrics into the merged result")
 		chains         = fs.Bool("chains", false, "attach async causal chains to the merged warning classification (computed locally after the merge; byte-identical to single-process -chains)")
-		debugStack     = fs.Bool("debug-stacks", false, "run shard schedules and chain replays under creation-stack capture so chain hops carry Go call sites")
+		debugStack     = fs.Bool("debug-stacks", false, "with -chains: run the coordinator's chain replays under creation-stack capture so chain hops carry Go call sites (shard schedules never capture stacks)")
 		dir            = fs.String("dir", "", "journal directory (default: a fresh temp dir, removed on success, kept on failure)")
 		resume         = fs.String("resume", "", "resume the journal in this directory; planning flags come from its plan.json")
 		ndjsonOut      = fs.String("ndjson", "", "stream merged NDJSON exploration records to this file ('-' for stdout)")

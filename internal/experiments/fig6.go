@@ -69,6 +69,10 @@ type Fig6aRow struct {
 	// they sanity-check that the tool does not perturb the simulation.
 	AvgLatency time.Duration
 	P95Latency time.Duration
+	// GraphNodes counts the Async Graph nodes the tool built during the
+	// run (0 for the baseline): the deterministic work behind the
+	// setting's wall-clock cost.
+	GraphNodes int
 }
 
 // RunSetting executes one AcmeAir run under the given setting and
@@ -76,6 +80,7 @@ type Fig6aRow struct {
 // was attached.
 func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 	loop := eventloop.New(eventloop.Options{TickLimit: 100_000_000})
+	var b *asyncgraph.Builder
 	switch setting {
 	case Baseline:
 		// No hooks: probes cost one branch per site.
@@ -83,13 +88,13 @@ func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 		cfg := asyncgraph.DefaultConfig()
 		cfg.Promises = false
 		cfg.ChainAnalysis = false
-		b := asyncgraph.NewBuilder(cfg)
+		b = asyncgraph.NewBuilder(cfg)
 		d := detect.DefaultConfig()
 		d.Promises = false
 		loop.Probes().Attach(b)
 		loop.Probes().Attach(detect.NewAnalyzer(b, d))
 	case WithPromise:
-		b := asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
+		b = asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
 		loop.Probes().Attach(b)
 		loop.Probes().Attach(detect.NewAnalyzer(b, detect.DefaultConfig()))
 	default:
@@ -123,7 +128,7 @@ func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 		return Fig6aRow{}, fmt.Errorf("experiments: %s completed %d/%d requests",
 			setting, stats.Completed, load.Requests)
 	}
-	return Fig6aRow{
+	row := Fig6aRow{
 		Setting:    setting,
 		Requests:   stats.Completed,
 		Failed:     stats.Failed,
@@ -131,7 +136,11 @@ func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 		Throughput: float64(stats.Completed) / elapsed.Seconds(),
 		AvgLatency: stats.AvgLatency(),
 		P95Latency: stats.Percentile(95),
-	}, nil
+	}
+	if b != nil {
+		row.GraphNodes = len(b.Graph().Nodes)
+	}
+	return row, nil
 }
 
 // RunFig6a measures all three settings and fills in slowdowns relative
@@ -215,10 +224,10 @@ func RunFig6bDetailed(load LoadSpec) (Fig6bRow, *trace.Snapshot, *instrument.Cou
 // WriteFig6a renders the Fig. 6(a) rows as the harness's table.
 func WriteFig6a(w io.Writer, rows []Fig6aRow) {
 	fmt.Fprintf(w, "Fig. 6(a) — AcmeAir throughput under AsyncG (paper: nopromise ≈ 2x, withpromise ≈ 10x slower)\n")
-	fmt.Fprintf(w, "%-12s %10s %12s %14s %10s %14s\n", "setting", "requests", "elapsed", "req/s", "slowdown", "vlat avg/p95")
+	fmt.Fprintf(w, "%-12s %10s %12s %14s %10s %10s %14s\n", "setting", "requests", "elapsed", "req/s", "slowdown", "AG nodes", "vlat avg/p95")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %10d %12s %14.0f %9.2fx %6s/%s\n",
-			r.Setting, r.Requests, r.Elapsed.Round(time.Millisecond), r.Throughput, r.Slowdown,
+		fmt.Fprintf(w, "%-12s %10d %12s %14.0f %9.2fx %10d %6s/%s\n",
+			r.Setting, r.Requests, r.Elapsed.Round(time.Millisecond), r.Throughput, r.Slowdown, r.GraphNodes,
 			r.AvgLatency.Round(10*time.Microsecond), r.P95Latency.Round(10*time.Microsecond))
 	}
 }

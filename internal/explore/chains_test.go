@@ -50,6 +50,39 @@ func TestChainsAttached(t *testing.T) {
 	}
 }
 
+// TestChainsDebugStacks: WithDebugStacks upgrades chain hops with the
+// captured creation frames, and — applying to witness replays only —
+// leaves every explored run and the rest of the classification as they
+// are without it.
+func TestChainsDebugStacks(t *testing.T) {
+	tg := caseTarget(t, "fig4")
+	plain := mustRun(t, tg, WithRuns(8), WithSeed(1), WithChains())
+	stacked := mustRun(t, tg, WithRuns(8), WithSeed(1), WithChains(), WithDebugStacks())
+	stackHops := func(r *Result) int {
+		n := 0
+		for _, ws := range r.Warnings {
+			for _, hop := range ws.Chain {
+				if len(hop.Stack) > 0 {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := stackHops(plain); n != 0 {
+		t.Errorf("%d chain hops carry stacks without WithDebugStacks", n)
+	}
+	if stackHops(stacked) == 0 {
+		t.Error("WithChains+WithDebugStacks: no chain hop carries a stack")
+	}
+	for i := range stacked.Warnings {
+		stacked.Warnings[i].Chain, plain.Warnings[i].Chain = nil, nil
+	}
+	if got, want := resultJSON(t, stacked), resultJSON(t, plain); got != want {
+		t.Errorf("debug stacks changed the exploration beyond chain frames\nwith:    %s\nwithout: %s", got, want)
+	}
+}
+
 // TestChainsIdenticalAcrossWorkers: the chain attachment happens after
 // aggregation, so the classified output — chains included — must be
 // byte-identical regardless of how many workers executed the schedules.

@@ -9,6 +9,46 @@ import (
 	"asyncg/internal/eventloop"
 )
 
+// TestCoveragePlanReplaysDraw pins a coverage plan to the walk it
+// stands for: run i seeds one generator with seed+i, draws
+// sample-or-mutate and the weighted parent from it, then keeps drawing
+// from it while mutating. Local and fleet runs both execute the plan's
+// PickFunc, so only this reference walk catches a PickFunc that skips
+// or reorders the recorded draw.
+func TestCoveragePlanReplaysDraw(t *testing.T) {
+	const seed = 5
+	corpus := [][]int{{1, 0, 2}, {0, 1}, {2, 2, 1, 1}}
+	s, err := StrategyFor(StrategyCoverage, StrategyParams{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < coverageGeneration; i++ {
+		s.PlanRun(i)
+		fb := Feedback{Index: i}
+		if i < len(corpus) {
+			fb.NewGraph, fb.Picks = true, corpus[i]
+		}
+		s.Observe(fb)
+	}
+	for i := coverageGeneration; i < 2*coverageGeneration; i++ {
+		p, st := s.PlanRun(i)
+		if st != PlanReady {
+			t.Fatalf("run %d: plan state %v after generation 0 was observed", i, st)
+		}
+		rng := rand.New(rand.NewSource(seed + int64(i)))
+		want := randomNext(rng)
+		if rng.Intn(4) != 0 {
+			want = mutateNext(rng, corpus[pickWeighted(rng, len(corpus))])
+		}
+		got := p.PickFunc()
+		for pos := 0; pos < 32; pos++ {
+			if g, w := got(pos, eventloop.ChoiceIOOrder, 3), want(pos, eventloop.ChoiceIOOrder, 3); g != w {
+				t.Fatalf("run %d pick %d: plan draws %d, reference walk %d", i, pos, g, w)
+			}
+		}
+	}
+}
+
 // TestMutatedScheduleRoundTrip is the greybox-mutation determinism
 // property: mutating a corpus seed schedule is a pure function of the
 // rng, and whatever schedule a mutated run actually followed is fully

@@ -26,17 +26,18 @@
 //	Option                    Layer        Applies to                       Cost                              Output surface
 //	[asyncg.WithDebugStacks]  session      the one Run of that Session      stack capture + symbolization     Warning provenance frames
 //	                                                                        per tracked API call              (asyncg.Report.Warnings)
-//	[WithDebugStacks]         exploration  every schedule executed, plus    the session cost times every      frames on every chain hop
-//	                                       every witness replay             run — the dominant builder cost   (WarningStat.Chain)
 //	[WithChains]              exploration  aggregation only                 one extra replay per distinct     WarningStat.Chain with
 //	                                                                        witness token                     location-labelled hops
+//	[WithDebugStacks]         exploration  the witness replays of           the session cost on each of       frames on every chain hop
+//	                                       [WithChains] only                those replays                     (WarningStat.Chain)
 //
-// The composition rules fall out of the table: [WithDebugStacks] is
-// exactly [asyncg.WithDebugStacks] applied uniformly to every run the
-// exploration makes, so a Target never needs to thread the session
-// option itself; [WithChains] alone yields chains whose hops carry
-// source locations; adding [WithDebugStacks] upgrades those hops with
-// the captured Go frames. Chains are a deterministic function of
-// (target, witness token), which keeps Results byte-identical for any
-// worker count and across fleet merges.
+// The composition rules fall out of the table: [WithChains] alone
+// yields chains whose hops carry source locations; adding
+// [WithDebugStacks] runs those replays under [asyncg.WithDebugStacks],
+// upgrading the hops with the captured Go frames. The explored
+// schedules never capture stacks — frames surface nowhere but on
+// chains — so [WithDebugStacks] without [WithChains] does nothing, and
+// a Target never needs to thread the session option itself. Chains are
+// a deterministic function of (target, witness token), which keeps
+// Results byte-identical for any worker count and across fleet merges.
 package explore

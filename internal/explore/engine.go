@@ -220,8 +220,8 @@ type config struct {
 	// Chains attaches async causal chains to the classified warnings
 	// after aggregation (see WithChains and AttachChains).
 	Chains bool
-	// DebugStacks turns on creation-stack capture inside every run and
-	// witness replay (see WithDebugStacks).
+	// DebugStacks turns on creation-stack capture inside the witness
+	// replays behind chains (see WithDebugStacks).
 	DebugStacks bool
 }
 
@@ -287,9 +287,10 @@ type RunResult struct {
 	// reduction skipped (0 without POR).
 	PrunedPicks int `json:"prunedPicks,omitempty"`
 	// Domains records the domain size of every choice point the run hit,
-	// in pick order. Populated only under WithRunFeedback — it is the
-	// fleet coordinator's input for expanding the exhaustive frontier
-	// remotely — and stripped before results are merged or compared.
+	// in pick order. Populated only under WithRunFeedback — with the
+	// token it rebuilds the run's Feedback, which is how a fleet
+	// coordinator feeds remote runs to its strategy — and stripped
+	// before results are merged or compared.
 	Domains []int `json:"domains,omitempty"`
 	// Independent records, per choice point, whether the pick permutes
 	// independent alternatives (the partial-order-reduction signal).
@@ -517,7 +518,7 @@ func (p *schedProxy) BeginPermute(kind eventloop.ChoiceKind, keys []uint64) {
 
 // workerExtras builds the per-run option slice a worker hands to every
 // Run call: the proxy's chooser is swapped per run, everything else
-// (context bound, metrics, debug stacks) is fixed for the exploration.
+// (context bound, metrics) is fixed for the exploration.
 func workerExtras(ctx context.Context, proxy *schedProxy, cfg *config) []asyncg.Option {
 	extra := []asyncg.Option{asyncg.WithScheduler(proxy)}
 	if ctx != nil {
@@ -525,9 +526,6 @@ func workerExtras(ctx context.Context, proxy *schedProxy, cfg *config) []asyncg.
 	}
 	if cfg.RunMetrics {
 		extra = append(extra, asyncg.WithMetrics())
-	}
-	if cfg.DebugStacks {
-		extra = append(extra, asyncg.WithDebugStacks())
 	}
 	return extra
 }

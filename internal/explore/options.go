@@ -59,10 +59,10 @@ func WithProgress(fn func(RunResult)) Option {
 
 // WithRunFeedback copies each run's choice-point record — the domain
 // size and independence flag of every pick — into RunResult.Domains and
-// RunResult.Independent. This is the exhaustive strategy's Observe input
-// exported over the wire: a fleet coordinator dispatching prefix shards
-// to remote workers needs it to expand the breadth-first frontier
-// exactly as a local exploration would. Off by default; the fields are
+// RunResult.Independent. Together with the token this is a strategy's
+// Observe input exported over the wire: a fleet coordinator rebuilds
+// each remote run's Feedback from it, so its strategy observes exactly
+// what a local exploration's would. Off by default; the fields are
 // stripped again before merged results are compared, so enabling it
 // never changes a Result's canonical JSON.
 func WithRunFeedback() Option {
@@ -80,13 +80,15 @@ func WithChains() Option {
 	return func(c *config) { c.Chains = true }
 }
 
-// WithDebugStacks runs every schedule (and every witness replay) under
+// WithDebugStacks runs the witness replays behind [WithChains] under
 // [asyncg.WithDebugStacks]: the graph builder captures the Go call
 // stack at each promise/emitter creation, trigger, and registration,
-// and chain hops carry the frames. Opt-in — stack symbolization per
-// tracked API call dominates the builder's cost (see EXPERIMENTS.md).
-// See the package comment's "Debug options: one semantics table" for
-// scope, cost, and composition with [WithChains].
+// and chain hops carry the frames. The explored schedules themselves
+// run without capture — frames only ever surface on chains — so the
+// cost is one symbolizing replay per distinct witness, and without
+// WithChains the option has no effect. See the package comment's
+// "Debug options: one semantics table" for scope, cost, and
+// composition with [WithChains].
 func WithDebugStacks() Option {
 	return func(c *config) { c.DebugStacks = true }
 }

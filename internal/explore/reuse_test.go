@@ -86,13 +86,21 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	workerCycle := []int{1, 4, 8}
+	planner, err := StrategyFor(StrategyRandom, StrategyParams{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, w := range shardWindows(total, 5) {
-		spec := ShardSpec{Strategy: StrategyRandom, Seed: seed, Start: w[0], Runs: w[1]}
+		spec := ShardSpec{Start: w[0]}
+		for j := 0; j < w[1]; j++ {
+			p, _ := planner.PlanRun(w[0] + j)
+			spec.Plans = append(spec.Plans, p)
+		}
 		strat, err := ShardStrategy(spec)
 		if err != nil {
 			t.Fatalf("ShardStrategy(%+v): %v", spec, err)
 		}
-		shard := mustRun(t, reused, WithStrategy(strat), WithRuns(spec.Runs),
+		shard := mustRun(t, reused, WithStrategy(strat), WithRuns(len(spec.Plans)),
 			WithWorkers(workerCycle[i%len(workerCycle)]))
 		for j, rr := range shard.Runs {
 			rr.Index = w[0] + j

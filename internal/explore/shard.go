@@ -1,163 +1,74 @@
 package explore
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // This file is the sharding surface of the exploration engine: the
-// exported description of one deterministic slice of a strategy's
-// schedule space (ShardSpec), the Strategy that executes exactly that
-// slice (ShardStrategy), and the merge primitive (Finalize) that
-// rebuilds a Result's aggregate sections after shard results have been
-// stitched back into global run order. Together they let a fleet
-// coordinator fan one exploration across many asyncg serve workers and
-// still produce output byte-identical to a single-process Run at the
-// same budget.
+// exported description of one contiguous slice of an exploration's runs
+// (ShardSpec — the RunPlans its strategy's PlanRun produced for them),
+// the Strategy that plays exactly that list (ShardStrategy), and the
+// merge primitive (Finalize) that rebuilds a Result's aggregate
+// sections after shard results have been stitched back into global run
+// order. Together they let a fleet coordinator drive one strategy
+// across many asyncg serve workers and still produce output
+// byte-identical to a single-process Run at the same budget.
 
-// CoverageGenerationSize is the coverage strategy's planning quantum:
-// runs are planned in generations of this many, and generation g sees
-// exactly the corpus accumulated from generations < g. A coverage
-// ShardSpec must stay inside one generation — the corpus snapshot it
-// carries is only constant within the generation.
-const CoverageGenerationSize = coverageGeneration
-
-// ShardSpec describes one deterministic slice of an exploration: the
-// shard's runs are the global run indices [Start, Start+Runs), planned
-// exactly as the named full-exploration strategy would plan them. The
-// strategy-specific payload makes the shard self-contained:
-//
-//   - random/delay need only the base Seed — run i derives its generator
-//     from Seed+i, so any index range is independently computable.
-//   - coverage additionally carries Corpus, the replay tokens of the
-//     mutation corpus visible to the shard's generation (the schedules
-//     that discovered a new fingerprint in generations before it).
-//   - exhaustive carries Prefixes, the breadth-first forced pick
-//     prefixes (as replay tokens) for each of the shard's runs; the
-//     coordinator owns the frontier and expands it from run feedback.
+// ShardSpec describes one contiguous slice of an exploration: the runs
+// at global indices [Start, Start+len(Plans)), each given as the
+// RunPlan the exploration's strategy planned for it. The plans already
+// carry every cross-run decision (the coverage draw against its corpus,
+// the exhaustive frontier prefix), so a worker executes a shard with no
+// strategy state at all.
 type ShardSpec struct {
-	// Strategy names the sharded walk (StrategyRandom, StrategyDelay,
-	// StrategyCoverage, StrategyExhaustive).
-	Strategy string `json:"strategy"`
-	// Seed is the exploration's base seed (random, delay, coverage).
-	Seed int64 `json:"seed,omitempty"`
 	// Start is the global run index of the shard's first run.
 	Start int `json:"start"`
-	// Runs is the number of runs in the shard.
-	Runs int `json:"runs"`
-	// DelayBound caps non-default picks per run (delay; 0 means 2).
-	DelayBound int `json:"delayBound,omitempty"`
-	// Prefixes holds one forced pick prefix per run, as replay tokens
-	// (exhaustive only; len(Prefixes) == Runs).
-	Prefixes []string `json:"prefixes,omitempty"`
-	// Corpus holds the mutation-corpus schedules visible to the shard's
-	// generation, as replay tokens in discovery order (coverage only).
-	Corpus []string `json:"corpus,omitempty"`
+	// Plans holds one plan per run, in run order.
+	Plans []RunPlan `json:"plans"`
 }
 
-// Validate checks the spec's internal coherence: a known strategy, a
-// positive in-range window, and a strategy payload that matches (and a
-// coverage window that stays inside its generation).
+// Validate checks a decoded spec before anything executes it: a
+// non-negative start, at least one plan, and every plan within the
+// bounds its PickFunc relies on.
 func (s ShardSpec) Validate() error {
-	if s.Runs <= 0 {
-		return fmt.Errorf("explore: shard needs a positive run count, got %d", s.Runs)
-	}
 	if s.Start < 0 {
 		return fmt.Errorf("explore: negative shard start %d", s.Start)
 	}
-	switch s.Strategy {
-	case StrategyRandom, StrategyDelay:
-		if len(s.Prefixes) != 0 || len(s.Corpus) != 0 {
-			return fmt.Errorf("explore: %s shard carries no prefixes or corpus", s.Strategy)
+	if len(s.Plans) == 0 {
+		return fmt.Errorf("explore: shard has no plans")
+	}
+	for i, p := range s.Plans {
+		if err := p.validate(); err != nil {
+			return fmt.Errorf("explore: shard plan %d: %w", i, err)
 		}
-	case StrategyCoverage:
-		if len(s.Prefixes) != 0 {
-			return fmt.Errorf("explore: coverage shard carries no prefixes")
-		}
-		if s.Start/coverageGeneration != (s.Start+s.Runs-1)/coverageGeneration {
-			return fmt.Errorf("explore: coverage shard [%d,%d) crosses a generation boundary (size %d)",
-				s.Start, s.Start+s.Runs, coverageGeneration)
-		}
-	case StrategyExhaustive:
-		if len(s.Prefixes) != s.Runs {
-			return fmt.Errorf("explore: exhaustive shard has %d prefixes for %d runs", len(s.Prefixes), s.Runs)
-		}
-		if len(s.Corpus) != 0 {
-			return fmt.Errorf("explore: exhaustive shard carries no corpus")
-		}
-	default:
-		return fmt.Errorf("explore: unknown shard strategy %q", s.Strategy)
 	}
 	return nil
 }
 
-// ShardStrategy builds the Strategy that executes exactly the spec's
-// slice of the global exploration: local run j is planned as global run
-// Start+j would be under the full strategy. The result is feedback-free
-// by construction — all cross-run feedback (coverage corpus growth,
-// exhaustive frontier expansion, NewGraph flags) belongs to the
-// coordinator that issued the shard — so a shard's runs are identical
-// at any worker count and any shard decomposition.
+// ShardStrategy builds the Strategy that plays the spec's plans: local
+// run j executes Plans[j], and planning ends after the last one. It is
+// feedback-free by construction — all cross-run feedback (coverage
+// corpus growth, exhaustive frontier expansion, NewGraph flags) belongs
+// to the coordinator that planned the shard — so a shard's runs are
+// identical at any worker count.
 func ShardStrategy(spec ShardSpec) (Strategy, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	s := &shardStrategy{spec: spec}
-	for _, tok := range spec.Corpus {
-		sched, err := ParseToken(tok)
-		if err != nil {
-			return nil, fmt.Errorf("explore: shard corpus: %v", err)
-		}
-		s.corpus = append(s.corpus, sched.Picks)
-	}
-	for _, tok := range spec.Prefixes {
-		sched, err := ParseToken(tok)
-		if err != nil {
-			return nil, fmt.Errorf("explore: shard prefix: %v", err)
-		}
-		s.prefixes = append(s.prefixes, sched.Picks)
-	}
-	return s, nil
+	return shardStrategy(spec.Plans), nil
 }
 
-// shardStrategy plans one ShardSpec's runs (see ShardStrategy).
-type shardStrategy struct {
-	spec     ShardSpec
-	corpus   [][]int // coverage: parsed corpus schedules, discovery order
-	prefixes [][]int // exhaustive: parsed forced prefixes, one per run
-}
+// shardStrategy plays one ShardSpec's plans (see ShardStrategy).
+type shardStrategy []RunPlan
 
-func (s *shardStrategy) Name() string { return s.spec.Strategy }
+func (shardStrategy) Name() string { return "shard" }
 
-func (s *shardStrategy) Plan(j int) (PickFunc, PlanState) {
-	if j >= s.spec.Runs {
+func (s shardStrategy) Plan(j int) (PickFunc, PlanState) {
+	if j >= len(s) {
 		return nil, PlanDone
 	}
-	global := int64(s.spec.Start + j)
-	switch s.spec.Strategy {
-	case StrategyRandom:
-		return randomNext(rand.New(rand.NewSource(s.spec.Seed + global))), PlanReady
-	case StrategyDelay:
-		bound := s.spec.DelayBound
-		if bound <= 0 {
-			bound = 2
-		}
-		return delayNext(rand.New(rand.NewSource(s.spec.Seed+global)), bound), PlanReady
-	case StrategyCoverage:
-		// Mirrors coverageStrategy.Plan exactly, with the generation's
-		// corpus snapshot frozen into the spec: same rng derivation, same
-		// exploration/exploitation draw, same energy weighting.
-		rng := rand.New(rand.NewSource(s.spec.Seed + global))
-		if len(s.corpus) == 0 || rng.Intn(4) == 0 {
-			return randomNext(rng), PlanReady
-		}
-		return mutateNext(rng, s.corpus[pickWeighted(rng, len(s.corpus))]), PlanReady
-	default: // StrategyExhaustive — Validate guarantees the prefix exists.
-		return playbackNext(s.prefixes[j]), PlanReady
-	}
+	return s[j].PickFunc(), PlanReady
 }
 
-func (s *shardStrategy) Observe(Feedback) {}
+func (shardStrategy) Observe(Feedback) {}
 
 // Finalize re-derives a Result's aggregate sections — the fingerprint
 // census, the warning and category classification, and NewGraphs — from

@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -22,14 +25,14 @@ func shardWindows(total, width int) [][2]int {
 }
 
 // runShard executes one ShardSpec against tg and returns the shard's
-// runs (locally indexed 0..spec.Runs-1).
+// runs (locally indexed 0..len(spec.Plans)-1).
 func runShard(t *testing.T, tg Target, spec ShardSpec, kinds []eventloop.ChoiceKind) []RunResult {
 	t.Helper()
 	strat, err := ShardStrategy(spec)
 	if err != nil {
 		t.Fatalf("ShardStrategy(%+v): %v", spec, err)
 	}
-	opts := []Option{WithStrategy(strat), WithRuns(spec.Runs), WithWorkers(2)}
+	opts := []Option{WithStrategy(strat), WithRuns(len(spec.Plans)), WithWorkers(2)}
 	if kinds != nil {
 		opts = append(opts, WithKinds(kinds...))
 	}
@@ -57,105 +60,95 @@ func checkShardRun(t *testing.T, global int, want, got RunResult) {
 	}
 }
 
-// TestShardStrategySeeded: for the strategies whose run i depends only
-// on seed+i (random, delay), any [Start, Start+Runs) window planned
-// through ShardStrategy reproduces exactly the full exploration's runs
-// at those global indices — the invariant that makes seed-range
-// sharding across a fleet sound.
+// planRecorder drives a Planner through PlanRun — the way the fleet
+// coordinator does — and records every plan it hands out.
+type planRecorder struct {
+	Planner
+	plans []RunPlan
+}
+
+func (r *planRecorder) Plan(i int) (PickFunc, PlanState) {
+	p, st := r.PlanRun(i)
+	if st == PlanReady {
+		r.plans = append(r.plans, p)
+	}
+	return planPicks(p, st)
+}
+
+// checkShardsReplay is the shard invariant for one built-in strategy:
+// an exploration planned through PlanRun matches the plain one run for
+// run, and every width-sized window of its recorded plans, shipped as a
+// JSON round-tripped ShardSpec, reproduces exactly the plain
+// exploration's runs at those global indices. It returns the plain
+// exploration.
+func checkShardsReplay(t *testing.T, name string, params StrategyParams, runs int, kinds []eventloop.ChoiceKind, widths ...int) *Result {
+	t.Helper()
+	tg := caseTarget(t, "SO-17894000")
+	planner := func() Planner {
+		p, err := StrategyFor(name, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	opts := []Option{WithRuns(runs)}
+	if kinds != nil {
+		opts = append(opts, WithKinds(kinds...))
+	}
+	full := mustRun(t, tg, append(opts, WithStrategy(planner()))...)
+	rec := &planRecorder{Planner: planner()}
+	viaPlans := mustRun(t, tg, append(opts, WithStrategy(rec))...)
+	if len(viaPlans.Runs) != len(full.Runs) || len(rec.plans) != len(full.Runs) {
+		t.Fatalf("PlanRun-driven exploration: %d runs from %d plans, want %d", len(viaPlans.Runs), len(rec.plans), len(full.Runs))
+	}
+	for i, got := range viaPlans.Runs {
+		checkShardRun(t, i, full.Runs[i], got)
+	}
+	for _, width := range widths {
+		for _, w := range shardWindows(len(rec.plans), width) {
+			b, err := json.Marshal(ShardSpec{Start: w[0], Plans: rec.plans[w[0] : w[0]+w[1]]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var spec ShardSpec
+			if err := json.Unmarshal(b, &spec); err != nil {
+				t.Fatal(err)
+			}
+			for j, got := range runShard(t, tg, spec, kinds) {
+				checkShardRun(t, w[0]+j, full.Runs[w[0]+j], got)
+			}
+		}
+	}
+	return full
+}
+
+// TestShardStrategySeeded: random and delay plans depend only on the
+// run's seed, so any window of them replays anywhere.
 func TestShardStrategySeeded(t *testing.T) {
-	tg := caseTarget(t, "SO-17894000")
-	const total = 16
-	cases := []struct {
-		name string
-		full []Option
-		spec func(start, n int) ShardSpec
-	}{
-		{
-			"random", []Option{WithSeed(3), WithRuns(total)},
-			func(start, n int) ShardSpec {
-				return ShardSpec{Strategy: StrategyRandom, Seed: 3, Start: start, Runs: n}
-			},
-		},
-		{
-			"delay", []Option{WithStrategy(NewDelay(7, 2)), WithRuns(total)},
-			func(start, n int) ShardSpec {
-				return ShardSpec{Strategy: StrategyDelay, Seed: 7, Start: start, Runs: n, DelayBound: 2}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			full := mustRun(t, tg, tc.full...)
-			for _, width := range []int{1, 5, total} {
-				for _, w := range shardWindows(total, width) {
-					runs := runShard(t, tg, tc.spec(w[0], w[1]), nil)
-					for j, got := range runs {
-						checkShardRun(t, w[0]+j, full.Runs[w[0]+j], got)
-					}
-				}
-			}
-		})
-	}
+	t.Run("random", func(t *testing.T) {
+		checkShardsReplay(t, StrategyRandom, StrategyParams{Seed: 3}, 16, nil, 1, 5, 16)
+	})
+	t.Run("delay", func(t *testing.T) {
+		checkShardsReplay(t, StrategyDelay, StrategyParams{Seed: 7, DelayBound: 2}, 16, nil, 1, 5, 16)
+	})
 }
 
-// TestShardStrategyCoverage: a coverage generation's runs depend on the
-// corpus snapshot from earlier generations. Reconstructing that snapshot
-// from the full exploration's NewGraph tokens and freezing it into a
-// ShardSpec must reproduce each generation's runs exactly — including
-// that replay tokens (trailing zeros trimmed) are a faithful corpus wire
-// format, because mutation treats positions past the seed's end as the
-// default pick anyway.
+// TestShardStrategyCoverage: a coverage plan records the corpus size its
+// draw used and the mutation parent it picked, so the run replays
+// without the corpus — including that the PickFunc's repeated draw
+// leaves the generator where the strategy's own Plan would.
 func TestShardStrategyCoverage(t *testing.T) {
-	tg := caseTarget(t, "SO-17894000")
-	const total = 40
-	full := mustRun(t, tg, WithStrategy(NewCoverage(11)), WithRuns(total))
-	for _, width := range []int{3, CoverageGenerationSize} {
-		// Windows are cut inside each generation — a shard must never
-		// straddle the corpus-snapshot boundary.
-		for gen := 0; gen*CoverageGenerationSize < total; gen++ {
-			var corpus []string
-			for _, rr := range full.Runs[:gen*CoverageGenerationSize] {
-				if rr.NewGraph {
-					corpus = append(corpus, rr.Token)
-				}
-			}
-			genRuns := CoverageGenerationSize
-			if rest := total - gen*CoverageGenerationSize; rest < genRuns {
-				genRuns = rest
-			}
-			for _, w := range shardWindows(genRuns, width) {
-				start := gen*CoverageGenerationSize + w[0]
-				spec := ShardSpec{Strategy: StrategyCoverage, Seed: 11, Start: start, Runs: w[1], Corpus: corpus}
-				runs := runShard(t, tg, spec, nil)
-				for j, got := range runs {
-					checkShardRun(t, start+j, full.Runs[start+j], got)
-				}
-			}
-		}
-	}
+	checkShardsReplay(t, StrategyCoverage, StrategyParams{Seed: 11}, 40, nil, 3, 8)
 }
 
-// TestShardStrategyExhaustive: an exhaustive run's forced prefix ends in
-// its last non-zero pick, and playback pads with defaults — so a run's
-// replay token IS its canonical prefix, and a prefix-range shard fed the
-// full exploration's tokens reproduces those runs exactly.
+// TestShardStrategyExhaustive: an exhaustive plan is its forced prefix,
+// with and without partial-order reduction.
 func TestShardStrategyExhaustive(t *testing.T) {
-	tg := caseTarget(t, "SO-17894000")
 	kinds := []eventloop.ChoiceKind{eventloop.ChoiceIOOrder, eventloop.ChoiceLatency}
-	full := mustRun(t, tg, WithStrategy(NewExhaustive(false)), WithRuns(60), WithKinds(kinds...))
-	if !full.Exhausted {
-		t.Fatal("60-run budget should exhaust the reduced-kind space")
-	}
-	total := len(full.Runs)
-	for _, w := range shardWindows(total, 7) {
-		var prefixes []string
-		for _, rr := range full.Runs[w[0] : w[0]+w[1]] {
-			prefixes = append(prefixes, rr.Token)
-		}
-		spec := ShardSpec{Strategy: StrategyExhaustive, Start: w[0], Runs: w[1], Prefixes: prefixes}
-		runs := runShard(t, tg, spec, kinds)
-		for j, got := range runs {
-			checkShardRun(t, w[0]+j, full.Runs[w[0]+j], got)
+	for _, por := range []bool{false, true} {
+		full := checkShardsReplay(t, StrategyExhaustive, StrategyParams{POR: por}, 60, kinds, 7)
+		if !full.Exhausted {
+			t.Fatalf("por=%v: 60-run budget should exhaust the reduced-kind space", por)
 		}
 	}
 }
@@ -192,39 +185,97 @@ func TestWithRunFeedback(t *testing.T) {
 	}
 }
 
-// TestShardSpecValidate: the error cases a fleet coordinator (or a
-// version-skewed worker) must be told about loudly.
-func TestShardSpecValidate(t *testing.T) {
-	bad := []ShardSpec{
-		{Strategy: StrategyRandom, Start: 0, Runs: 0},
-		{Strategy: StrategyRandom, Start: -1, Runs: 2},
-		{Strategy: "anneal", Start: 0, Runs: 2},
-		{Strategy: StrategyRandom, Start: 0, Runs: 2, Corpus: []string{"s1."}},
-		{Strategy: StrategyDelay, Start: 0, Runs: 2, Prefixes: []string{"s1.", "s1."}},
-		{Strategy: StrategyCoverage, Start: 6, Runs: 4}, // crosses generation 0→1
-		{Strategy: StrategyCoverage, Start: 0, Runs: 2, Prefixes: []string{"s1.", "s1."}},
-		{Strategy: StrategyExhaustive, Start: 0, Runs: 2, Prefixes: []string{"s1."}},
-		{Strategy: StrategyExhaustive, Start: 0, Runs: 1, Prefixes: []string{"s1."}, Corpus: []string{"s1."}},
+// validShardSpecs holds one accepted spec per walk.
+func validShardSpecs() []ShardSpec {
+	return []ShardSpec{
+		{Start: 5, Plans: []RunPlan{{Walk: StrategyRandom, Seed: 9}, {Walk: StrategyRandom, Seed: 10}}},
+		{Plans: []RunPlan{{Walk: StrategyDelay, Seed: 1, DelayBound: 3}}},
+		{Start: 8, Plans: []RunPlan{{Walk: StrategyCoverage, Seed: 11, Corpus: 2, Picks: []int{0, 1}}, {Walk: StrategyCoverage, Seed: 12, Corpus: 2}}},
+		{Start: 2, Plans: []RunPlan{{Walk: StrategyExhaustive, Picks: []int{0, 1}}, {Walk: StrategyExhaustive}}},
 	}
-	for _, spec := range bad {
+}
+
+// invalidShardSpecs holds the specs a fleet coordinator (or a
+// version-skewed worker) must be told about loudly.
+func invalidShardSpecs() []ShardSpec {
+	one := func(p RunPlan) []RunPlan { return []RunPlan{p} }
+	return []ShardSpec{
+		{Start: 0},
+		{Start: -1, Plans: one(RunPlan{Walk: StrategyRandom})},
+		{Plans: one(RunPlan{Walk: "anneal"})},
+		{Plans: []RunPlan{{Walk: StrategyRandom}, {}}},
+		{Plans: one(RunPlan{Walk: StrategyRandom, Picks: []int{1}})},
+		{Plans: one(RunPlan{Walk: StrategyDelay, Seed: 1})},
+		{Plans: one(RunPlan{Walk: StrategyDelay, DelayBound: 2, Corpus: 1})},
+		{Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: -1})},
+		{Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: maxPlanCorpus + 1, Picks: []int{1}})},
+		{Plans: one(RunPlan{Walk: StrategyCoverage, DelayBound: 2})},
+		{Plans: one(RunPlan{Walk: StrategyExhaustive, Seed: 3})},
+		{Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{-1}})},
+		{Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{maxPlanPick + 1}})},
+	}
+}
+
+// TestShardSpecValidate: Validate and ShardStrategy agree on every
+// accepted and refused spec.
+func TestShardSpecValidate(t *testing.T) {
+	for _, spec := range invalidShardSpecs() {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", spec)
 		}
+		if _, err := ShardStrategy(spec); err == nil {
+			t.Errorf("ShardStrategy(%+v): want error", spec)
+		}
 	}
-	good := []ShardSpec{
-		{Strategy: StrategyRandom, Seed: 9, Start: 5, Runs: 3},
-		{Strategy: StrategyDelay, Start: 0, Runs: 4, DelayBound: 3},
-		{Strategy: StrategyCoverage, Start: 8, Runs: 8, Corpus: []string{"s1.AQ"}},
-		{Strategy: StrategyExhaustive, Start: 2, Runs: 2, Prefixes: []string{"s1.AQ", "s1.Ag"}},
-	}
-	for _, spec := range good {
+	for _, spec := range validShardSpecs() {
 		if err := spec.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", spec, err)
 		}
 	}
-	if _, err := ShardStrategy(ShardSpec{Strategy: StrategyExhaustive, Start: 0, Runs: 1, Prefixes: []string{"bogus"}}); err == nil {
-		t.Error("ShardStrategy with an unparseable prefix token: want error")
+}
+
+// FuzzShardSpec drives the shard wire decoder end to end: decode,
+// Validate, ShardStrategy, Run. No input may panic; an accepted spec
+// must yield one run per plan, and each run's token must replay to the
+// same fingerprint.
+func FuzzShardSpec(f *testing.F) {
+	for _, spec := range append(validShardSpecs(), invalidShardSpecs()...) {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
+	f.Add([]byte(`{"start":0,"plans":[{"walk":"coverage","seed":1,"corpus":4294967296,"picks":[1]}]}`))
+	tg, err := TargetByName("case:SO-17894000")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		var spec ShardSpec
+		if dec.Decode(&spec) != nil || len(spec.Plans) > 8 || spec.Validate() != nil {
+			return
+		}
+		strat, err := ShardStrategy(spec)
+		if err != nil {
+			t.Fatalf("ShardStrategy refused a spec Validate accepted: %v", err)
+		}
+		res, err := Run(context.Background(), tg, WithStrategy(strat), WithRuns(len(spec.Plans)), WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Runs) != len(spec.Plans) {
+			t.Fatalf("%d plans gave %d runs", len(spec.Plans), len(res.Runs))
+		}
+		for _, rr := range res.Runs {
+			got, _, err := Replay(tg, rr.Token)
+			if err != nil || got.Fingerprint != rr.Fingerprint {
+				t.Fatalf("run %d: replay of %s gave %q (err %v), want fingerprint %q", rr.Index, rr.Token, got.Fingerprint, err, rr.Fingerprint)
+			}
+		}
+	})
 }
 
 // TestFinalize: rebuilding the aggregates from stitched runs matches the

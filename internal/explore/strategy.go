@@ -152,21 +152,126 @@ type StrategyParams struct {
 	POR bool
 }
 
+// Planner is a Strategy whose runs are data: PlanRun answers Plan's
+// question with a serializable RunPlan instead of a closure. Every
+// built-in strategy is a Planner, and its Plan is a thin adapter over
+// PlanRun — which is what lets the fleet coordinator drive the very
+// strategy object a local exploration uses, shipping the plans to
+// remote workers instead of executing them in-process.
+type Planner interface {
+	Strategy
+	// PlanRun answers for run i under Plan's contract (consecutive
+	// indices, the same PlanWait/PlanDone answers); a PlanReady plan's
+	// PickFunc draws exactly the picks Plan(i)'s function would.
+	PlanRun(i int) (RunPlan, PlanState)
+}
+
 // StrategyFor builds a built-in strategy by name (empty means random) —
 // the bridge from flag/JSON surfaces to the Strategy interface.
-func StrategyFor(name string, p StrategyParams) (Strategy, error) {
+func StrategyFor(name string, p StrategyParams) (Planner, error) {
+	var s Strategy
 	switch name {
 	case "", StrategyRandom:
-		return NewRandom(p.Seed), nil
+		s = NewRandom(p.Seed)
 	case StrategyDelay:
-		return NewDelay(p.Seed, p.DelayBound), nil
+		s = NewDelay(p.Seed, p.DelayBound)
 	case StrategyExhaustive:
-		return NewExhaustive(p.POR), nil
+		s = NewExhaustive(p.POR)
 	case StrategyCoverage:
-		return NewCoverage(p.Seed), nil
+		s = NewCoverage(p.Seed)
 	default:
 		return nil, fmt.Errorf("explore: unknown strategy %q (random, delay, exhaustive, coverage)", name)
 	}
+	return s.(Planner), nil
+}
+
+// RunPlan is everything one run's picks derive from, as data: a strategy's
+// PlanRun answers with one, PickFunc turns it into the function the
+// run's chooser consults, and a ShardSpec ships a list of them to a
+// remote worker — so a run planned by a fleet coordinator draws exactly
+// the picks the same run draws in a local exploration.
+type RunPlan struct {
+	// Walk names the pick rule: StrategyRandom, StrategyDelay,
+	// StrategyCoverage, or StrategyExhaustive (playback of Picks).
+	Walk string `json:"walk"`
+	// Seed seeds the run's generator (random, delay, coverage): the
+	// strategy's base seed plus the run index.
+	Seed int64 `json:"seed,omitempty"`
+	// DelayBound caps the run's non-default picks (delay).
+	DelayBound int `json:"delayBound,omitempty"`
+	// Corpus is the corpus size the coverage draw was made against.
+	Corpus int `json:"corpus,omitempty"`
+	// Picks is the forced prefix (exhaustive) or the mutation parent
+	// (coverage, when its draw mutates).
+	Picks []int `json:"picks,omitempty"`
+}
+
+// Bounds a RunPlan must respect (see RunPlan.validate): corpus sizes
+// stay far below the point where pickWeighted's n(n+1)/2 overflows, and
+// picks stay in the range a schedule token can carry.
+const (
+	maxPlanCorpus = 1 << 24
+	maxPlanPick   = 1 << 31
+)
+
+// validate checks that the plan names a known walk, carries only the
+// fields that walk reads, and keeps each of them within the bounds
+// PickFunc relies on — a decoded plan fails here, never inside a run.
+func (p RunPlan) validate() error {
+	seeded, bounded, corpus, picks := false, false, false, false
+	switch p.Walk {
+	case StrategyRandom:
+		seeded = true
+	case StrategyDelay:
+		seeded, bounded = true, true
+	case StrategyCoverage:
+		seeded, corpus, picks = true, true, true
+	case StrategyExhaustive:
+		picks = true
+	default:
+		return fmt.Errorf("explore: unknown walk %q", p.Walk)
+	}
+	switch {
+	case !seeded && p.Seed != 0, !bounded && p.DelayBound != 0, !corpus && p.Corpus != 0, !picks && len(p.Picks) != 0:
+		return fmt.Errorf("explore: %s plan carries a field its walk does not read", p.Walk)
+	case bounded && p.DelayBound < 1:
+		return fmt.Errorf("explore: delay plan needs a positive delay bound, got %d", p.DelayBound)
+	case p.Corpus < 0 || p.Corpus > maxPlanCorpus:
+		return fmt.Errorf("explore: plan corpus size %d outside [0, %d]", p.Corpus, maxPlanCorpus)
+	}
+	for _, v := range p.Picks {
+		if v < 0 || v > maxPlanPick {
+			return fmt.Errorf("explore: plan pick %d outside [0, %d]", v, maxPlanPick)
+		}
+	}
+	return nil
+}
+
+// PickFunc builds the run's pick function. Every call builds a fresh
+// generator, so the plan can be executed any number of times.
+func (p RunPlan) PickFunc() PickFunc {
+	switch p.Walk {
+	case StrategyDelay:
+		return delayNext(rand.New(rand.NewSource(p.Seed)), p.DelayBound)
+	case StrategyCoverage:
+		rng := rand.New(rand.NewSource(p.Seed))
+		if coverageDraw(rng, p.Corpus) < 0 {
+			return randomNext(rng)
+		}
+		return mutateNext(rng, p.Picks)
+	case StrategyExhaustive:
+		return playbackNext(p.Picks)
+	default:
+		return randomNext(rand.New(rand.NewSource(p.Seed)))
+	}
+}
+
+// planPicks adapts PlanRun to Plan for the built-in strategies.
+func planPicks(p RunPlan, st PlanState) (PickFunc, PlanState) {
+	if st != PlanReady {
+		return nil, st
+	}
+	return p.PickFunc(), PlanReady
 }
 
 // randomStrategy: uniform sampling; feedback is used only to recycle
@@ -198,14 +303,19 @@ func NewRandom(seed int64) Strategy { return &randomStrategy{seed: seed} }
 
 func (s *randomStrategy) Name() string { return StrategyRandom }
 
+func (s *randomStrategy) PlanRun(i int) (RunPlan, PlanState) {
+	return RunPlan{Walk: StrategyRandom, Seed: s.seed + int64(i)}, PlanReady
+}
+
 func (s *randomStrategy) Plan(i int) (PickFunc, PlanState) {
+	p, _ := s.PlanRun(i)
 	var e *seededNext
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free = s.free[:n-1]
-		e.rng.Seed(s.seed + int64(i))
+		e.rng.Seed(p.Seed)
 	} else {
-		e = &seededNext{rng: rand.New(rand.NewSource(s.seed + int64(i)))}
+		e = &seededNext{rng: rand.New(rand.NewSource(p.Seed))}
 		e.next = randomNext(e.rng)
 	}
 	if s.out == nil {
@@ -240,9 +350,11 @@ func NewDelay(seed int64, bound int) Strategy {
 
 func (s *delayStrategy) Name() string { return StrategyDelay }
 
-func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) {
-	return delayNext(rand.New(rand.NewSource(s.seed+int64(i))), s.bound), PlanReady
+func (s *delayStrategy) PlanRun(i int) (RunPlan, PlanState) {
+	return RunPlan{Walk: StrategyDelay, Seed: s.seed + int64(i), DelayBound: s.bound}, PlanReady
 }
+
+func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
 
 func (s *delayStrategy) Observe(Feedback) {}
 
@@ -277,20 +389,22 @@ func NewExhaustive(por bool) Strategy {
 
 func (s *exhaustiveStrategy) Name() string { return StrategyExhaustive }
 
-func (s *exhaustiveStrategy) Plan(i int) (PickFunc, PlanState) {
+func (s *exhaustiveStrategy) PlanRun(i int) (RunPlan, PlanState) {
 	if i < len(s.queue) {
 		if i >= s.planned {
 			s.planned = i + 1
 		}
-		return playbackNext(s.queue[i]), PlanReady
+		return RunPlan{Walk: StrategyExhaustive, Picks: s.queue[i]}, PlanReady
 	}
 	if s.observed >= s.planned {
-		// Every dispatched run reported back and none grew the frontier
+		// Every planned run reported back and none grew the frontier
 		// past i: the space is enumerated.
-		return nil, PlanDone
+		return RunPlan{}, PlanDone
 	}
-	return nil, PlanWait
+	return RunPlan{}, PlanWait
 }
+
+func (s *exhaustiveStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
 
 func (s *exhaustiveStrategy) Observe(fb Feedback) {
 	s.observed++
@@ -344,33 +458,36 @@ type coverageStrategy struct {
 	entries    []corpusEntry
 	boundaries []int // corpus size visible to each generation
 	observed   int
+	// scratch makes PlanRun's draw: reseeded per run, so planning
+	// allocates no generator (PickFunc builds the run's own).
+	scratch *rand.Rand
 }
 
 // NewCoverage returns the coverage-guided strategy (see
 // StrategyCoverage), seeded like NewRandom.
 func NewCoverage(seed int64) Strategy {
-	return &coverageStrategy{seed: seed, boundaries: []int{0}}
+	return &coverageStrategy{seed: seed, boundaries: []int{0}, scratch: rand.New(rand.NewSource(seed))}
 }
 
 func (s *coverageStrategy) Name() string { return StrategyCoverage }
 
-func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) {
+func (s *coverageStrategy) PlanRun(i int) (RunPlan, PlanState) {
 	g := i / coverageGeneration
 	if g >= len(s.boundaries) {
 		// Generation g opens only after every run of generations < g has
 		// been observed.
-		return nil, PlanWait
+		return RunPlan{}, PlanWait
 	}
 	corpus := s.entries[:s.boundaries[g]]
-	rng := rand.New(rand.NewSource(s.seed + int64(i)))
-	// One run in four stays purely random so the walk keeps discovering
-	// schedules no corpus neighborhood reaches.
-	if len(corpus) == 0 || rng.Intn(4) == 0 {
-		return randomNext(rng), PlanReady
+	p := RunPlan{Walk: StrategyCoverage, Seed: s.seed + int64(i), Corpus: len(corpus)}
+	s.scratch.Seed(p.Seed)
+	if k := coverageDraw(s.scratch, len(corpus)); k >= 0 {
+		p.Picks = corpus[k].picks
 	}
-	seed := corpus[pickWeighted(rng, len(corpus))]
-	return mutateNext(rng, seed.picks), PlanReady
+	return p, PlanReady
 }
+
+func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
 
 func (s *coverageStrategy) Observe(fb Feedback) {
 	if fb.NewGraph {
@@ -385,6 +502,19 @@ func (s *coverageStrategy) Observe(fb Feedback) {
 // CoverageStats implements CoverageReporter (CorpusSize only).
 func (s *coverageStrategy) CoverageStats() CoverageStats {
 	return CoverageStats{CorpusSize: len(s.entries)}
+}
+
+// coverageDraw is a coverage run's first draw from its generator: -1
+// to sample uniformly — always with an empty corpus, otherwise one run
+// in four, so the walk keeps discovering schedules no corpus
+// neighborhood reaches — or the index of the corpus entry to mutate.
+// PlanRun and RunPlan.PickFunc both make it, so the run's generator
+// reaches the walk in the same state either way.
+func coverageDraw(rng *rand.Rand, corpus int) int {
+	if corpus == 0 || rng.Intn(4) == 0 {
+		return -1
+	}
+	return pickWeighted(rng, corpus)
 }
 
 // pickWeighted draws an index in [0, n) with weight k+1 — later entries

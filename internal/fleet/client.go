@@ -86,13 +86,11 @@ func (c *client) checkHealth(ctx context.Context) error {
 // of the server's jobSpec (the server rejects unknown fields, so this
 // struct is the compatibility contract).
 type jobRequest struct {
-	Target      string             `json:"target"`
-	Kinds       string             `json:"kinds,omitempty"`
-	NoMetrics   bool               `json:"noMetrics,omitempty"`
-	Feedback    bool               `json:"feedback,omitempty"`
-	DebugStacks bool               `json:"debugStacks,omitempty"`
-	TimeoutMs   int64              `json:"timeoutMs,omitempty"`
-	Shard       *explore.ShardSpec `json:"shard"`
+	Target    string             `json:"target"`
+	Kinds     string             `json:"kinds,omitempty"`
+	NoMetrics bool               `json:"noMetrics,omitempty"`
+	TimeoutMs int64              `json:"timeoutMs,omitempty"`
+	Shard     *explore.ShardSpec `json:"shard"`
 }
 
 // jobRef is the slice of the submission response the client needs.
@@ -178,9 +176,11 @@ type wireLine struct {
 }
 
 // stream follows the job's NDJSON to completion and validates the
-// shard's shape: exactly spec.Runs run lines, locally indexed in order,
-// closed by an explore-summary. A stream that ends early (worker died,
-// job failed or was cancelled) is an error — the caller reassigns.
+// shard's shape: exactly one run line per plan, locally indexed in
+// order, each a well-formed recording (see feedbackOf), closed by an
+// explore-summary. A stream that ends early (worker died, job failed or
+// was cancelled) or carries a bad line is an error — the caller
+// reassigns, and nothing reaches the journal.
 func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpec) (*shardOutput, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
@@ -208,12 +208,15 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 			if line.Index != len(out.Runs) {
 				return nil, fmt.Errorf("fleet: %s: run index %d out of order (want %d)", c.base, line.Index, len(out.Runs))
 			}
+			if _, err := feedbackOf(line.RunResult); err != nil {
+				return nil, fmt.Errorf("fleet: %s: bad run line: %v", c.base, err)
+			}
 			out.Runs = append(out.Runs, line.RunResult)
 		case explore.KindSummary:
 			summarySeen = true
 			out.Metrics = line.Metrics
-			if line.SummaryRuns != spec.Runs {
-				return nil, fmt.Errorf("fleet: %s: shard finished with %d/%d runs (job %s)", c.base, line.SummaryRuns, spec.Runs, jobID)
+			if line.SummaryRuns != len(spec.Plans) {
+				return nil, fmt.Errorf("fleet: %s: shard finished with %d/%d runs (job %s)", c.base, line.SummaryRuns, len(spec.Plans), jobID)
 			}
 		}
 	}
@@ -223,8 +226,8 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 	if !summarySeen {
 		return nil, fmt.Errorf("fleet: %s: stream ended without a summary (job %s)", c.base, jobID)
 	}
-	if len(out.Runs) != spec.Runs {
-		return nil, fmt.Errorf("fleet: %s: got %d run lines, want %d (job %s)", c.base, len(out.Runs), spec.Runs, jobID)
+	if len(out.Runs) != len(spec.Plans) {
+		return nil, fmt.Errorf("fleet: %s: got %d run lines, want %d (job %s)", c.base, len(out.Runs), len(spec.Plans), jobID)
 	}
 	return out, nil
 }

@@ -3,16 +3,17 @@
 // reassembles their partial results into output byte-identical to a
 // single-process explore.Run at the same budget.
 //
-// The schedule space is sharded deterministically per strategy — seed
-// index ranges for random/delay, generation-boundary windows carrying a
-// frozen corpus snapshot for coverage, breadth-first replay-token prefix
-// ranges for exhaustive — so every shard is a self-contained job any
+// The coordinator drives the same explore.Planner a local exploration
+// uses: it cuts consecutive PlanRun answers into shards of RunPlans,
+// and feeds every absorbed run back through Observe in global run
+// order. Each strategy's planning and observing logic therefore exists
+// once, in package explore, and every shard is a self-contained job any
 // worker can execute via the jobs API. The coordinator consumes each
 // job's live NDJSON stream, normalizes runs back into global index
-// order (recomputing the cross-run NewGraph/corpus/pruning bookkeeping
-// that individual workers cannot know), merges the per-shard
-// trace.Snapshots with the existing commutative Merge, and re-derives
-// the fingerprint/warning/category censuses with explore.Finalize.
+// order (recomputing the cross-run NewGraph census that individual
+// workers cannot know), merges the per-shard trace.Snapshots with the
+// existing commutative Merge, and re-derives the
+// fingerprint/warning/category censuses with explore.Finalize.
 //
 // Every completed shard is committed to a write-ahead journal before it
 // counts, so a killed coordinator resumes from its last completed shard
@@ -30,8 +31,8 @@ import (
 )
 
 // Plan is the deterministic description of one distributed exploration —
-// everything the shard planning depends on, and exactly what plan.json
-// persists for resume.
+// everything the strategy and the shard boundaries depend on, and
+// exactly what plan.json persists for resume.
 type Plan struct {
 	// Target is the explore registry spec ("case:SO-17894000",
 	// "acmeair:requests=10,...") every worker resolves identically.
@@ -49,9 +50,9 @@ type Plan struct {
 	DelayBound int `json:"delayBound,omitempty"`
 	// POR enables partial-order reduction (exhaustive strategy).
 	POR bool `json:"por,omitempty"`
-	// ShardRuns is the target shard width in runs (default 8; coverage
-	// shards are additionally clipped to generation boundaries and
-	// exhaustive shards to the discovered frontier).
+	// ShardRuns is the shard width in runs (default 8). A shard is cut
+	// shorter only where planning ends or the strategy waits on
+	// feedback from every earlier run (see coordinator.nextShard).
 	ShardRuns int `json:"shardRuns,omitempty"`
 	// Metrics aggregates per-run trace snapshots into Result.Metrics,
 	// like explore.WithRunMetrics.
@@ -63,9 +64,9 @@ type Plan struct {
 	// to a single-process explore.Run with WithChains; shard workers
 	// never compute chains.
 	Chains bool `json:"chains,omitempty"`
-	// DebugStacks runs shard schedules and the coordinator's chain
-	// replays under creation-stack capture (explore.WithDebugStacks);
-	// chain hops then carry creation call sites.
+	// DebugStacks runs the coordinator's chain replays under
+	// creation-stack capture (explore.WithDebugStacks), so chain hops
+	// carry creation call sites; shard schedules never capture stacks.
 	DebugStacks bool `json:"debugStacks,omitempty"`
 }
 
@@ -89,15 +90,8 @@ func (p Plan) validate() error {
 	if p.Runs < 0 {
 		return fmt.Errorf("fleet: negative run budget %d", p.Runs)
 	}
-	if _, err := explore.ParseKinds(p.Kinds); err != nil {
-		return err
-	}
-	switch p.Strategy {
-	case explore.StrategyRandom, explore.StrategyDelay, explore.StrategyExhaustive, explore.StrategyCoverage:
-		return nil
-	default:
-		return fmt.Errorf("fleet: unknown strategy %q", p.Strategy)
-	}
+	_, err := explore.ParseKinds(p.Kinds)
+	return err
 }
 
 // equal compares plans for the resume check (JSON-normalized, so only
@@ -210,7 +204,11 @@ func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	pl, err := plannerFor(cfg.Plan)
+	strategy, err := explore.StrategyFor(cfg.Plan.Strategy, explore.StrategyParams{
+		Seed:       cfg.Plan.Seed,
+		DelayBound: cfg.Plan.DelayBound,
+		POR:        cfg.Plan.POR,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,15 +218,15 @@ func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	}
 	defer jr.close()
 
-	c := &coordinator{cfg: cfg, target: target, planner: pl, journal: jr}
+	c := &coordinator{cfg: cfg, target: target, strategy: strategy, journal: jr}
 	return c.run(ctx)
 }
 
 type coordinator struct {
-	cfg     Config
-	target  explore.Target
-	planner planner
-	journal *journal
+	cfg      Config
+	target   explore.Target
+	strategy explore.Planner
+	journal  *journal
 
 	slots   chan *client // worker rotation; one in-flight shard per slot
 	results chan shardResult
@@ -236,6 +234,14 @@ type coordinator struct {
 	res   *explore.Result
 	stats Stats
 	seen  map[string]bool // global fingerprint census, in run order
+
+	// Shard forming (see nextShard): formed counts the runs of every
+	// shard cut so far, observed the runs fed back through Observe, buf
+	// holds the plans of the shard being formed, and planEnded records
+	// that no further run will be planned.
+	formed, observed int
+	buf              []explore.RunPlan
+	planEnded        bool
 }
 
 func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) {
@@ -248,7 +254,7 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	c.seen = make(map[string]bool)
 	c.res = &explore.Result{
 		Target:    c.target.Name,
-		Strategy:  cfg.Plan.Strategy,
+		Strategy:  c.strategy.Name(),
 		Seed:      cfg.Plan.Seed,
 		Requested: cfg.Plan.Runs,
 	}
@@ -270,16 +276,16 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 
 	for {
 		// progressed records whether this iteration formed or absorbed
-		// anything: a feedback-gated planner (coverage, exhaustive) only
-		// yields more shards after absorbing, so the loop must circle back
+		// anything: a feedback-gated strategy (coverage, exhaustive) only
+		// plans more runs after absorbing, so the loop must circle back
 		// to forming — and an iteration with no progress, nothing in
 		// flight, and an unfinished plan is a genuine stall.
 		progressed := false
 
-		// Form every shard the planner will yield and the worker pool can
+		// Form every shard the strategy will plan and the worker pool can
 		// hold; journaled shards complete instantly, skipping dispatch.
 		for inFlight < len(cfg.Workers) {
-			spec, ok := c.planner.next()
+			spec, ok := c.nextShard()
 			if !ok {
 				break
 			}
@@ -287,19 +293,19 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 			idx := shardCount
 			shardCount++
 			c.stats.Shards++
-			c.journal.event(statusEvent{Event: "planned", Shard: idx, Start: spec.Start, Runs: spec.Runs})
+			c.journal.event(statusEvent{Event: "planned", Shard: idx, Start: spec.Start, Runs: len(spec.Plans)})
 			if out, err := c.journal.take(idx, spec); err != nil {
 				fatal = err
 				break
 			} else if out != nil {
 				c.stats.Resumed++
-				c.journal.event(statusEvent{Event: "resumed", Shard: idx, Start: spec.Start, Runs: spec.Runs})
-				cfg.Logf("fleet: shard %d [%d,%d) resumed from journal", idx, spec.Start, spec.Start+spec.Runs)
+				c.journal.event(statusEvent{Event: "resumed", Shard: idx, Start: spec.Start, Runs: len(spec.Plans)})
+				cfg.Logf("fleet: shard %d [%d,%d) resumed from journal", idx, spec.Start, spec.Start+len(spec.Plans))
 				pending[idx] = shardResult{idx: idx, spec: spec, out: out}
 				continue
 			}
 			c.stats.Dispatched++
-			c.journal.event(statusEvent{Event: "dispatched", Shard: idx, Start: spec.Start, Runs: spec.Runs})
+			c.journal.event(statusEvent{Event: "dispatched", Shard: idx, Start: spec.Start, Runs: len(spec.Plans)})
 			inFlight++
 			go c.dispatch(ctx, idx, spec)
 		}
@@ -322,7 +328,7 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 				fatal = err
 				break
 			}
-			c.journal.event(statusEvent{Event: "done", Shard: sr.idx, Start: sr.spec.Start, Runs: sr.spec.Runs})
+			c.journal.event(statusEvent{Event: "done", Shard: sr.idx, Start: sr.spec.Start, Runs: len(sr.spec.Plans)})
 		}
 		if fatal != nil {
 			drain()
@@ -330,11 +336,11 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 		}
 
 		if inFlight == 0 {
-			if c.planner.done() && len(pending) == 0 {
+			if c.planEnded && len(c.buf) == 0 && len(pending) == 0 {
 				break
 			}
 			if !progressed {
-				fatal = errors.New("fleet: planner stalled with no work in flight")
+				fatal = errors.New("fleet: strategy stalled with no work in flight")
 				break
 			}
 			continue
@@ -361,12 +367,14 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	if fatal == nil {
 		fatal = ctx.Err()
 	}
-	if fatal == nil {
-		c.res.Exhausted = c.planner.exhausted()
+	if sr, ok := c.strategy.(explore.SpaceReporter); ok && fatal == nil {
+		c.res.Exhausted = sr.Exhausted()
 	}
-	st := c.planner.stats()
-	c.res.CorpusSize = st.CorpusSize
-	c.res.PrunedPicks = st.PrunedPicks
+	if cr, ok := c.strategy.(explore.CoverageReporter); ok {
+		st := cr.CoverageStats()
+		c.res.CorpusSize = st.CorpusSize
+		c.res.PrunedPicks = st.PrunedPicks
+	}
 	explore.Finalize(c.target, c.res)
 	if fatal == nil && c.cfg.Plan.Chains {
 		// After Finalize, witness tokens are final; replaying them
@@ -377,20 +385,54 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	return c.res, &c.stats, fatal
 }
 
+// nextShard cuts the next shard from consecutive PlanRun answers, or
+// reports that none can be cut yet. The boundary rule: a shard is
+// ShardRuns plans wide, and is cut shorter only when planning has ended
+// (the budget is reached or the strategy answered PlanDone) or when the
+// strategy waits while every run of every earlier shard has been
+// observed — then no outstanding feedback could let it plan further.
+// Either way the boundary depends only on the plan, never on when
+// shards complete, so a resumed coordinator re-forms exactly the
+// journaled shards.
+func (c *coordinator) nextShard() (explore.ShardSpec, bool) {
+	for !c.planEnded && len(c.buf) < c.cfg.Plan.ShardRuns {
+		i := c.formed + len(c.buf)
+		if i >= c.cfg.Plan.Runs {
+			c.planEnded = true
+			break
+		}
+		p, st := c.strategy.PlanRun(i)
+		if st == explore.PlanReady {
+			c.buf = append(c.buf, p)
+			continue
+		}
+		// Like the local coordinator, a strategy that waits with nothing
+		// outstanding can never unblock and is treated as done.
+		if st == explore.PlanDone || len(c.buf) == 0 && c.observed == c.formed {
+			c.planEnded = true
+		}
+		break
+	}
+	short := len(c.buf) < c.cfg.Plan.ShardRuns
+	if len(c.buf) == 0 || short && !c.planEnded && c.observed < c.formed {
+		return explore.ShardSpec{}, false
+	}
+	spec := explore.ShardSpec{Start: c.formed, Plans: c.buf}
+	c.formed += len(c.buf)
+	c.buf = nil
+	return spec, true
+}
+
 // dispatch runs one shard to completion: worker rotation, capped
 // exponential backoff, Retry-After, and reassignment on mid-stream
 // death are all here. The journal commit happens before the result is
 // reported, so "completed" always means "on disk".
 func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardSpec) {
 	req := jobRequest{
-		Target:      c.cfg.Plan.Target,
-		Kinds:       c.cfg.Plan.Kinds,
-		NoMetrics:   !c.cfg.Plan.Metrics,
-		DebugStacks: c.cfg.Plan.DebugStacks,
-		// The exhaustive planner expands the frontier from each run's
-		// choice-point recording; other strategies keep the wire lean.
-		Feedback: spec.Strategy == explore.StrategyExhaustive,
-		Shard:    &spec,
+		Target:    c.cfg.Plan.Target,
+		Kinds:     c.cfg.Plan.Kinds,
+		NoMetrics: !c.cfg.Plan.Metrics,
+		Shard:     &spec,
 	}
 	sr := shardResult{idx: idx, spec: spec}
 	for attempt := 0; ; attempt++ {
@@ -417,7 +459,7 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 		var perm *permanentError
 		if errors.As(err, &perm) || ctx.Err() != nil || attempt+1 >= c.cfg.MaxAttempts {
 			sr.err = fmt.Errorf("fleet: shard %d [%d,%d) failed after %d attempt(s): %w",
-				idx, spec.Start, spec.Start+spec.Runs, attempt+1, err)
+				idx, spec.Start, spec.Start+len(spec.Plans), attempt+1, err)
 			c.results <- sr
 			return
 		}
@@ -436,26 +478,32 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 
 // absorb folds one completed shard into the global result, run by run in
 // local order: assert the worker's indices, re-index into global order,
-// recompute the cross-run feedback (NewGraph against the global census),
-// feed the planner, stamp the planner's running stats, and strip the
-// wire-only feedback fields — after which each RunResult is exactly what
-// the single-process coordinator would have emitted.
+// recompute NewGraph against the global census, feed the run to the
+// strategy, stamp the strategy's running stats, and strip the wire-only
+// feedback fields — after which each RunResult is exactly what the
+// single-process coordinator would have emitted.
 func (c *coordinator) absorb(sr shardResult) error {
+	cr, _ := c.strategy.(explore.CoverageReporter)
 	for j, rr := range sr.out.Runs {
 		if rr.Index != j {
 			return fmt.Errorf("fleet: shard %d run %d arrived with local index %d", sr.idx, j, rr.Index)
 		}
-		rr.Index = sr.spec.Start + j
-		rr.NewGraph = false
-		if !c.seen[rr.Fingerprint] {
-			c.seen[rr.Fingerprint] = true
-			rr.NewGraph = true
+		fb, err := feedbackOf(rr)
+		if err != nil {
+			return fmt.Errorf("fleet: shard %d: %w", sr.idx, err)
 		}
+		rr.Index = sr.spec.Start + j
+		rr.NewGraph = !c.seen[rr.Fingerprint]
+		c.seen[rr.Fingerprint] = true
 		rr.NewGraphs = len(c.seen)
-		c.planner.observe(rr)
-		st := c.planner.stats()
-		rr.CorpusSize = st.CorpusSize
-		rr.PrunedPicks = st.PrunedPicks
+		fb.Index, fb.NewGraph = rr.Index, rr.NewGraph
+		c.strategy.Observe(fb)
+		c.observed++
+		if cr != nil {
+			st := cr.CoverageStats()
+			rr.CorpusSize = st.CorpusSize
+			rr.PrunedPicks = st.PrunedPicks
+		}
 		rr.Domains, rr.Independent = nil, nil
 		c.res.Runs = append(c.res.Runs, rr)
 		if c.cfg.Progress != nil {
@@ -469,4 +517,42 @@ func (c *coordinator) absorb(sr shardResult) error {
 		c.res.Metrics.Merge(sr.out.Metrics)
 	}
 	return nil
+}
+
+// feedbackOf rebuilds the strategy feedback a worker's run line carries:
+// what the local coordinator hands Observe straight from the run's
+// chooser. The token trims trailing default picks, so its picks are
+// padded back to one per recorded domain. A line that cannot be a real
+// recording is an error, never a panic — client.stream checks every
+// line with it, so a bad worker fails its attempt, not the coordinator.
+func feedbackOf(rr explore.RunResult) (explore.Feedback, error) {
+	sched, err := explore.ParseToken(rr.Token)
+	if err != nil {
+		return explore.Feedback{}, fmt.Errorf("run %d: %w", rr.Index, err)
+	}
+	if len(rr.Independent) != len(rr.Domains) {
+		return explore.Feedback{}, fmt.Errorf("run %d: %d independence flags for %d domains", rr.Index, len(rr.Independent), len(rr.Domains))
+	}
+	if len(sched.Picks) > len(rr.Domains) {
+		return explore.Feedback{}, fmt.Errorf("run %d: token has %d picks for %d domains", rr.Index, len(sched.Picks), len(rr.Domains))
+	}
+	picks := make([]int, len(rr.Domains))
+	copy(picks, sched.Picks)
+	for pos, d := range rr.Domains {
+		if picks[pos] >= d {
+			return explore.Feedback{}, fmt.Errorf("run %d: pick %d outside domain %d at position %d", rr.Index, picks[pos], d, pos)
+		}
+	}
+	return explore.Feedback{
+		Index:       rr.Index,
+		Token:       rr.Token,
+		Picks:       picks,
+		Domains:     rr.Domains,
+		Independent: rr.Independent,
+		Fingerprint: rr.Fingerprint,
+		NewGraph:    rr.NewGraph,
+		Warnings:    rr.Warnings,
+		Err:         rr.Err,
+		Ticks:       rr.Ticks,
+	}, nil
 }

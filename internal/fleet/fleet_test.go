@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -235,6 +237,105 @@ func TestFleetResumeAfterCancel(t *testing.T) {
 	checkIdentical(t, res, singleProcess(t, p))
 }
 
+// TestFleetResumeExhaustive: exhaustive shards that are cut short
+// while the strategy waits on the frontier must be re-formed exactly
+// on resume — shard boundaries depend only on the plan, not on when
+// shards completed — so resuming a finished journal dispatches nothing.
+func TestFleetResumeExhaustive(t *testing.T) {
+	workers := startWorkers(t, 2)
+	for _, por := range []bool{false, true} {
+		for _, width := range []int{2, 3} {
+			p := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60,
+				Kinds: "io-order,latency", POR: por, ShardRuns: width}
+			t.Run(fmt.Sprintf("por=%v-w%d", por, width), func(t *testing.T) {
+				dir := t.TempDir()
+				res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res2, stats2, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir, Resume: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats2.Dispatched != 0 || stats2.Resumed != stats2.Shards || stats2.Shards != stats1.Shards {
+					t.Errorf("resume stats: %+v (fresh %+v), want all shards resumed", stats2, stats1)
+				}
+				checkIdentical(t, res2, res1)
+			})
+		}
+	}
+}
+
+// TestFleetRejectsBadRunLines: a worker whose run lines cannot be real
+// recordings (an unparseable token) fails its attempt — the shard is
+// retried on another worker and never journaled — instead of panicking
+// the coordinator when the strategy observes the line.
+func TestFleetRejectsBadRunLines(t *testing.T) {
+	var hits atomic.Int32
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/healthz":
+			fmt.Fprint(w, `{"status":"ok"}`)
+		case r.Method == http.MethodPost:
+			var req jobRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			hits.Add(1)
+			w.WriteHeader(http.StatusAccepted)
+			fmt.Fprintf(w, `{"id":"job-%d","status":"queued"}`, len(req.Shard.Plans))
+		default:
+			var n int
+			fmt.Sscanf(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "job-%d", &n)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(w, `{"kind":"explore-run","index":%d,"token":"garbage","fingerprint":"x","ticks":1}`+"\n", i)
+			}
+			fmt.Fprintf(w, `{"kind":"explore-summary","runs":%d}`+"\n", n)
+		}
+	}))
+	defer fake.Close()
+
+	p := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60, Kinds: "io-order,latency", ShardRuns: 3}
+	live := startWorkers(t, 1)
+	res, stats, err := Run(context.Background(), Config{
+		Plan:        p,
+		Workers:     []string{fake.URL, live[0]},
+		Dir:         t.TempDir(),
+		BackoffBase: time.Millisecond,
+		BackoffCap:  5 * time.Millisecond,
+		MaxAttempts: 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits.Load() == 0 || stats.Retries == 0 {
+		t.Errorf("fake worker got %d shards and %d retries were recorded; the bad lines were never exercised", hits.Load(), stats.Retries)
+	}
+	checkIdentical(t, res, singleProcess(t, p))
+
+	_, _, err = Run(context.Background(), Config{Plan: p, Workers: []string{fake.URL}, Dir: t.TempDir(),
+		BackoffBase: time.Millisecond, BackoffCap: time.Millisecond, MaxAttempts: 2})
+	if err == nil || !strings.Contains(err.Error(), "bad run line") {
+		t.Errorf("only a bad worker: err = %v, want a bad-run-line failure", err)
+	}
+}
+
+// TestFleetResumeRejectsOldJournal: a journal written before shard
+// headers carried RunPlans must not resume.
+func TestFleetResumeRejectsOldJournal(t *testing.T) {
+	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4, ShardRuns: 2}
+	dir := t.TempDir()
+	old := fmt.Sprintf(`{"version":1,"plan":%s}`, mustJSON(p.withDefaults()))
+	if err := os.WriteFile(filepath.Join(dir, "plan.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := Run(context.Background(), Config{Plan: p, Workers: startWorkers(t, 1), Dir: dir, Resume: true})
+	if err == nil || !strings.Contains(err.Error(), "journal version 1") {
+		t.Errorf("resuming a version-1 journal: err = %v, want the version error", err)
+	}
+}
+
 // TestFleetDeadWorkerReassignment puts a dead URL in the worker pool:
 // its shards must fail over to the live worker and the merged Result
 // stay correct.
@@ -363,7 +464,7 @@ func TestSubmitErrorClassification(t *testing.T) {
 	defer ts.Close()
 
 	cl := newClient(ts.URL, time.Second)
-	spec := explore.ShardSpec{Strategy: explore.StrategyRandom, Runs: 1}
+	spec := explore.ShardSpec{Plans: []explore.RunPlan{{Walk: explore.StrategyRandom}}}
 	_, err := cl.submit(context.Background(), jobRequest{Target: caseTarget, Shard: &spec})
 	var busy *busyError
 	if !errors.As(err, &busy) || busy.retryAfter != 7*time.Second {

@@ -21,18 +21,20 @@ import (
 //	status.ndjson    append-only shard lifecycle events
 //	                 ({"event":"planned|dispatched|done|resumed","shard":N,...})
 //	shard-NNNN.ndjson one file per completed shard: a fleet-shard header
-//	                 line carrying the ShardSpec, the worker's raw
-//	                 explore-run lines (locally indexed, feedback fields
-//	                 intact), and a closing fleet-shard-done line with
-//	                 the run count and the shard's merged metrics. The
-//	                 file is written to a temp name and renamed, so its
-//	                 existence with a matching done line IS the commit
-//	                 record — a half-written shard never resumes.
+//	                 line carrying the ShardSpec (start + RunPlans), the
+//	                 worker's raw explore-run lines (locally indexed,
+//	                 feedback fields intact), and a closing
+//	                 fleet-shard-done line with the run count and the
+//	                 shard's merged metrics. The file is written to a
+//	                 temp name and renamed, so its existence with a
+//	                 matching done line IS the commit record — a
+//	                 half-written shard never resumes.
 //
-// Resume replays deterministic planning from plan.json and feeds each
-// re-formed shard through the same observe path, loading journaled
-// shards instead of dispatching them. The status log is observability
-// (and what the smoke test asserts on); the shard files are the truth.
+// Resume rebuilds the strategy from plan.json and re-forms the same
+// shards (their boundaries depend only on the plan), feeding each one
+// through the same absorb path, loading journaled shards instead of
+// dispatching them. The status log is observability (and what the
+// smoke test asserts on); the shard files are the truth.
 
 // Journal line kinds (alongside the explore-run lines inside shard files).
 const (
@@ -41,8 +43,9 @@ const (
 )
 
 // planFileVersion guards against resuming a journal written by an
-// incompatible coordinator.
-const planFileVersion = 1
+// incompatible coordinator. Version 2: shard headers carry RunPlan
+// lists ({start, plans}) instead of per-strategy payloads.
+const planFileVersion = 2
 
 type planFile struct {
 	Version int  `json:"version"`
@@ -236,7 +239,7 @@ func readShardFile(path string) (int, *journaledShard, bool) {
 			committed = true
 		}
 	}
-	if sc.Err() != nil || !committed || len(out.Runs) != hdr.Spec.Runs {
+	if sc.Err() != nil || !committed || len(out.Runs) != len(hdr.Spec.Plans) {
 		return 0, nil, false
 	}
 	return hdr.Shard, &journaledShard{spec: hdr.Spec, output: out}, true

@@ -55,27 +55,26 @@ type jobSpec struct {
 	// NoMetrics opts this job out of per-run metrics aggregation (on by
 	// default — the snapshots back GET /metrics).
 	NoMetrics bool `json:"noMetrics,omitempty"`
-	// Shard executes one deterministic slice of a larger exploration
-	// instead of a standalone walk: the shard spec carries the strategy,
-	// seed, global index window and strategy payload (corpus snapshot or
-	// prefix list). The fleet coordinator's job shape. Shard jobs take
-	// their strategy parameters from the spec — the outer strategy, seed,
-	// delayBound and por fields must stay unset — and runs, when given,
-	// must match the shard's window.
+	// Shard executes one contiguous slice of a larger exploration instead
+	// of a standalone walk: the shard spec carries the global index of
+	// its first run and one explore.RunPlan per run, as planned by the
+	// fleet coordinator's strategy. Shard jobs take their walk from the
+	// plans — the outer strategy, seed, delayBound and por fields must
+	// stay unset — and runs, when given, must match the plan count.
+	// Every shard run line carries its choice-point record (domains,
+	// independent), from which the coordinator rebuilds the strategy's
+	// feedback.
 	Shard *explore.ShardSpec `json:"shard,omitempty"`
-	// Feedback copies each run's choice-point record (domain sizes,
-	// independence flags) into its stream line (explore.WithRunFeedback) —
-	// how a fleet coordinator expands the exhaustive frontier remotely.
-	Feedback bool `json:"feedback,omitempty"`
 	// Chains attaches async causal chains to the classified warnings
 	// (explore.WithChains): the explore-warning stream lines and the
 	// /v1/jobs/{id}/result warnings carry a "chain" field, additively.
 	// Fleet shard jobs leave this unset — the coordinator attaches
 	// chains once, after the merge.
 	Chains bool `json:"chains,omitempty"`
-	// DebugStacks runs every schedule under creation-stack capture
-	// (explore.WithDebugStacks), so chain hops carry the Go call site
-	// that created each node. Measurable overhead; see EXPERIMENTS.md.
+	// DebugStacks runs the witness replays behind chains under
+	// creation-stack capture (explore.WithDebugStacks), so chain hops
+	// carry the Go call site that created each node; the explored
+	// schedules never capture stacks. No effect without chains.
 	DebugStacks bool `json:"debugStacks,omitempty"`
 }
 

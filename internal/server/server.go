@@ -316,17 +316,16 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 	}
 	var strat explore.Strategy
 	if spec.Shard != nil {
-		// A shard job's walk is fully determined by the shard spec; outer
-		// strategy parameters would silently disagree with it, so their
-		// presence is an error, not a tiebreak.
+		// A shard job's walk is fully determined by the shard's plans;
+		// outer strategy parameters would silently disagree with them, so
+		// their presence is an error, not a tiebreak.
 		if spec.Strategy != "" || spec.Seed != 0 || spec.DelayBound != 0 || spec.POR {
-			return nil, fmt.Errorf("server: shard jobs take strategy/seed/delayBound/por from the shard spec; leave the outer fields unset")
+			return nil, fmt.Errorf("server: shard jobs take their walk from the shard's plans; leave strategy/seed/delayBound/por unset")
 		}
-		if spec.Runs != 0 && spec.Runs != spec.Shard.Runs {
-			return nil, fmt.Errorf("server: runs %d conflicts with shard window of %d runs", spec.Runs, spec.Shard.Runs)
+		if spec.Runs != 0 && spec.Runs != len(spec.Shard.Plans) {
+			return nil, fmt.Errorf("server: runs %d conflicts with shard window of %d runs", spec.Runs, len(spec.Shard.Plans))
 		}
-		spec.Runs = spec.Shard.Runs
-		spec.Seed = spec.Shard.Seed
+		spec.Runs = len(spec.Shard.Plans)
 		strat, err = explore.ShardStrategy(*spec.Shard)
 	} else {
 		strat, err = explore.StrategyFor(spec.Strategy, explore.StrategyParams{
@@ -361,7 +360,8 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 	if !spec.NoMetrics {
 		opts = append(opts, explore.WithRunMetrics())
 	}
-	if spec.Feedback {
+	if spec.Shard != nil {
+		// The coordinator rebuilds each run's strategy feedback from it.
 		opts = append(opts, explore.WithRunFeedback())
 	}
 	if spec.Chains {

@@ -703,7 +703,9 @@ func TestUnknownFieldRejected(t *testing.T) {
 
 // TestShardJob: a shard-scoped job executes exactly its window of the
 // global exploration — the runs match the full walk at the shifted
-// indices — and conflicting outer strategy fields are refused.
+// indices and carry their choice-point records — and conflicting outer
+// strategy fields, bad plans and the retired per-strategy shard shape
+// are refused.
 func TestShardJob(t *testing.T) {
 	leakCheck(t)
 	s := New(Config{QueueSize: 4, Workers: 1})
@@ -720,8 +722,8 @@ func TestShardJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, v := postJob(t, ts,
-		`{"target":"case:SO-17894000","feedback":true,"shard":{"strategy":"random","seed":3,"start":4,"runs":4}}`)
+	const plans = `[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]`
+	code, v := postJob(t, ts, `{"target":"case:SO-17894000","shard":{"start":4,"plans":`+plans+`}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST shard job: status %d", code)
 	}
@@ -740,20 +742,38 @@ func TestShardJob(t *testing.T) {
 				j, got.Token, got.Fingerprint, 4+j, want.Token, want.Fingerprint)
 		}
 		if len(got.Domains) == 0 || len(got.Domains) != len(got.Independent) {
-			t.Errorf("shard run %d: feedback=true but domains/independent = %d/%d",
-				j, len(got.Domains), len(got.Independent))
+			t.Errorf("shard run %d: domains/independent = %d/%d", j, len(got.Domains), len(got.Independent))
 		}
 	}
 
+	one := `{"start":0,"plans":[{"walk":"random"}]}`
 	for _, body := range []string{
-		`{"target":"case:SO-17894000","strategy":"random","shard":{"strategy":"random","start":0,"runs":2}}`,
-		`{"target":"case:SO-17894000","seed":7,"shard":{"strategy":"random","start":0,"runs":2}}`,
-		`{"target":"case:SO-17894000","runs":5,"shard":{"strategy":"random","start":0,"runs":2}}`,
-		`{"target":"case:SO-17894000","shard":{"strategy":"coverage","start":6,"runs":4}}`,
+		`{"target":"case:SO-17894000","strategy":"random","shard":` + one + `}`,
+		`{"target":"case:SO-17894000","seed":7,"shard":` + one + `}`,
+		`{"target":"case:SO-17894000","runs":5,"shard":` + one + `}`,
+		`{"target":"case:SO-17894000","shard":{"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
+		`{"target":"case:SO-17894000","feedback":true,"shard":` + one + `}`,
 	} {
 		if code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s: status %d, want 400", body, code)
 		}
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"target":"case:SO-17894000","shard":{"strategy":"random","start":0,"runs":2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Error string `json:"error"`
+		Field string `json:"field"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || body.Field == "" || !strings.Contains(body.Error, body.Field) {
+		t.Errorf("retired shard shape: status %d, body %+v, want 400 naming the unknown field", resp.StatusCode, body)
 	}
 }
 
