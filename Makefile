@@ -33,9 +33,13 @@ explore-coverage:
 	$(GO) run ./cmd/asyncg explore -acmeair -requests 20 -clients 3 -seed 1 -strategy coverage -runs 24 -min-new-graphs 8
 
 # Parallel-exploration determinism under the race detector: 1-, 2-, and
-# 8-worker explores must produce byte-identical Result JSON.
+# 8-worker explores must produce byte-identical Result JSON. The second
+# pass repeats the tests that drive the worker pool's shared state
+# (planning, hand-in, cancellation, panic re-raise, progress ordering)
+# ten times, since one pass sees one interleaving.
 race-explore:
 	$(GO) test -race ./internal/explore/...
+	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 
 # Short native-fuzzing pass over the shard wire decoder: decoded
 # ShardSpecs must validate or fail cleanly, never panic, and accepted

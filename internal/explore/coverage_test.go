@@ -12,9 +12,10 @@ import (
 // TestCoveragePlanReplaysDraw pins a coverage plan to the walk it
 // stands for: run i seeds one generator with seed+i, draws
 // sample-or-mutate and the weighted parent from it, then keeps drawing
-// from it while mutating. Local and fleet runs both execute the plan's
-// PickFunc, so only this reference walk catches a PickFunc that skips
-// or reorders the recorded draw.
+// from it while mutating. Fleet runs execute the plan's PickFunc and
+// local runs the strategy's own Plan, whose walk makes the draw against
+// the corpus itself, so only this reference walk catches either one
+// skipping or reordering the draw.
 func TestCoveragePlanReplaysDraw(t *testing.T) {
 	const seed = 5
 	corpus := [][]int{{1, 0, 2}, {0, 1}, {2, 2, 1, 1}}
@@ -41,9 +42,14 @@ func TestCoveragePlanReplaysDraw(t *testing.T) {
 			want = mutateNext(rng, corpus[pickWeighted(rng, len(corpus))])
 		}
 		got := p.PickFunc()
+		local, _ := s.Plan(i)
 		for pos := 0; pos < 32; pos++ {
-			if g, w := got(pos, eventloop.ChoiceIOOrder, 3), want(pos, eventloop.ChoiceIOOrder, 3); g != w {
+			w := want(pos, eventloop.ChoiceIOOrder, 3)
+			if g := got(pos, eventloop.ChoiceIOOrder, 3); g != w {
 				t.Fatalf("run %d pick %d: plan draws %d, reference walk %d", i, pos, g, w)
+			}
+			if l := local(pos, eventloop.ChoiceIOOrder, 3); l != w {
+				t.Fatalf("run %d pick %d: Plan's walk draws %d, reference walk %d", i, pos, l, w)
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func (t Target) runFresh(extra ...asyncg.Option) (*asyncg.Report, error) {
 // CaseTarget wraps a casestudy case (its buggy or fixed version). Both
 // the one-shot fallback and the reusable runner go through
 // casestudy.NewRunner, so every schedule executes the same code path
-// whichever the coordinator picks.
+// whichever of the two a worker uses.
 func CaseTarget(c casestudy.Case, fixed bool) Target {
 	name := c.ID + " (buggy)"
 	if fixed {
@@ -121,7 +121,7 @@ func CaseTargetByID(id string, fixed bool) (Target, error) {
 // seed. Both the one-shot fallback and the reusable runner execute
 // through acmeAirRunner, so every schedule runs the same code path (and
 // the same source locations — graph labels and fingerprints depend on
-// them) whichever the coordinator picks.
+// them) whichever of the two a worker uses.
 func AcmeAirTarget(requests, clients int, seed int64) Target {
 	newRunner := func() Runner {
 		return &acmeAirRunner{requests: requests, clients: clients, seed: seed}
@@ -407,18 +407,22 @@ func (r *Result) Sometimes() []WarningStat {
 //
 // Cancellation: ctx is polled between runs and, through
 // asyncg.WithContext, at every tick boundary inside each run, so a
-// cancelled or expired context stops the exploration promptly — workers
-// are drained, never abandoned. Run then returns ctx's error together
-// with a partial Result covering the completed run prefix (truncated
-// runs are discarded: their fingerprints and warning sets describe an
-// incomplete execution and would poison the always/sometimes
-// classification).
+// cancelled or expired context stops the exploration promptly. Run
+// returns only after every worker has exited, never abandoning one,
+// with ctx's error and a partial Result covering the completed run
+// prefix (truncated runs are discarded: their fingerprints and warning
+// sets describe an incomplete execution and would poison the
+// always/sometimes classification).
 //
 // Panics: a panicking target never crashes the process — not even with
-// WithWorkers(n > 1), where runs execute on pool goroutines. The panic
-// is recovered at the run boundary, the exploration shuts down along
-// the cancellation path, and Run returns the panic as an error with a
-// partial Result.
+// WithWorkers(n > 1), where runs execute on spawned worker goroutines.
+// The panic is recovered at the run boundary, the exploration shuts
+// down along the cancellation path, and Run returns the panic as an
+// error with a partial Result. A panic in the strategy or the progress
+// callback, which may also run on a spawned worker, is not the
+// target's: the exploration shuts down the same way, and once every
+// worker has exited Run re-panics with the original value on the
+// caller's goroutine.
 func Run(ctx context.Context, t Target, opts ...Option) (*Result, error) {
 	var cfg config
 	for _, opt := range opts {
@@ -427,7 +431,7 @@ func Run(ctx context.Context, t Target, opts ...Option) (*Result, error) {
 	return runExploration(ctx, t, cfg)
 }
 
-// runExploration runs the coordinator and folds the strategy's own
+// runExploration runs the worker pool and folds the strategy's own
 // reporting (space exhaustion, coverage stats) into the Result.
 func runExploration(ctx context.Context, t Target, cfg config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -435,7 +439,7 @@ func runExploration(ctx context.Context, t Target, cfg config) (*Result, error) 
 		ctx = context.Background()
 	}
 	res := &Result{Target: t.Name, Strategy: cfg.Strategy.Name(), Seed: cfg.Seed, Requested: cfg.Runs}
-	err := runCoordinator(ctx, t, cfg, res)
+	err := runPool(ctx, t, cfg, res)
 	if err == nil {
 		if sr, ok := cfg.Strategy.(SpaceReporter); ok {
 			res.Exhausted = sr.Exhausted()
@@ -540,11 +544,10 @@ func workerExtras(ctx context.Context, proxy *schedProxy, cfg *config) []asyncg.
 // path). The run's own ticks honor ctx through asyncg.WithContext; a
 // cancelled run comes back with rr.Err set to the context error, and
 // callers drop it from the Result. A panicking target is recovered
-// here — the one place every execution path shares, including the pool
-// workers of the parallel coordinator — and surfaced as err;
-// coordinators treat it as fatal to the exploration, so a panic fails
-// the caller's job without ever killing a worker goroutine (or the
-// process).
+// here — the one place every execution path shares, including the
+// pool's spawned workers — and surfaced as err; the pool treats it as
+// fatal to the exploration, so a panic fails the caller's job without
+// ever killing a worker goroutine (or the process).
 func runOnce(ctx context.Context, run func(extra ...asyncg.Option) (*asyncg.Report, error), idx int, ch *chooser, extras []asyncg.Option, cfg *config, in *intern) (rr RunResult, snap *trace.Snapshot, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -34,6 +34,81 @@ func mustRun(t *testing.T, tg Target, opts ...Option) *Result {
 	return res
 }
 
+// Reference pick rules: each seeded walk written as a closure over an
+// eagerly seeded generator. The strategies' walks seed on the first
+// pick and recycle their generators (see walk); the tests hold their
+// pick streams to these.
+
+// randomNext draws every pick uniformly.
+func randomNext(rng *rand.Rand) PickFunc {
+	return func(_ int, _ eventloop.ChoiceKind, n int) int { return rng.Intn(n) }
+}
+
+// delayNext perturbs the default schedule with at most bound non-default
+// picks, each site deviating with probability 1/4.
+func delayNext(rng *rand.Rand, bound int) PickFunc {
+	budget := bound
+	return func(_ int, _ eventloop.ChoiceKind, n int) int {
+		if budget > 0 && rng.Intn(4) == 0 {
+			budget--
+			return 1 + rng.Intn(n-1)
+		}
+		return 0
+	}
+}
+
+// mutateNext replays seed, each position deviating with probability 1/8
+// to a uniform draw; positions past the seed's end take the default pick.
+func mutateNext(rng *rand.Rand, seed []int) PickFunc {
+	return func(pos int, _ eventloop.ChoiceKind, n int) int {
+		if rng.Intn(8) == 0 {
+			return rng.Intn(n)
+		}
+		if pos < len(seed) {
+			return seed[pos]
+		}
+		return 0
+	}
+}
+
+// TestPooledWalksMatchReference: the random and delay strategies hand
+// out pooled walks that seed on their first pick. Across recycled walks
+// — including runs that draw nothing before their walk goes back to the
+// pool — run i still draws exactly the reference rule's picks from a
+// generator seeded with seed+i, and so does RunPlan.PickFunc.
+func TestPooledWalksMatchReference(t *testing.T) {
+	const seed, bound = 9, 2
+	for _, tc := range []struct {
+		s   Planner
+		ref func(*rand.Rand) PickFunc
+	}{
+		{NewRandom(seed).(Planner), randomNext},
+		{NewDelay(seed, bound).(Planner), func(rng *rand.Rand) PickFunc { return delayNext(rng, bound) }},
+	} {
+		for i := 0; i < 12; i++ {
+			pooled, st := tc.s.Plan(i)
+			if st != PlanReady {
+				t.Fatalf("%s run %d: plan state %v", tc.s.Name(), i, st)
+			}
+			p, _ := tc.s.PlanRun(i)
+			fresh := p.PickFunc()
+			want := tc.ref(rand.New(rand.NewSource(seed + int64(i))))
+			picks := 24
+			if i%3 == 1 {
+				picks = 0 // a run that meets no choice point
+			}
+			for pos := 0; pos < picks; pos++ {
+				n := 2 + pos%3
+				w, g, f := want(pos, eventloop.ChoiceIOOrder, n), pooled(pos, eventloop.ChoiceIOOrder, n), fresh(pos, eventloop.ChoiceIOOrder, n)
+				if g != w || f != w {
+					t.Fatalf("%s run %d pick %d: pooled %d, plan %d, reference %d", tc.s.Name(), i, pos, g, f, w)
+				}
+			}
+			tc.s.Observe(Feedback{Index: i})
+		}
+	}
+}
+
 func TestTokenRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 200; i++ {

@@ -50,9 +50,11 @@ func WithWorkers(n int) Option {
 // RunResult in run-index order, as soon as all earlier runs have also
 // completed — the hook the analysis server and the CLI use to stream
 // NDJSON run lines while the exploration is still going. The callback
-// runs on the coordinating goroutine (never concurrently with itself)
-// and must not block for long: with multiple workers a slow callback
-// stalls result emission, though never the schedule executions.
+// runs on whichever worker handed in the run that completed the
+// prefix — a spawned worker goroutine or Run's caller — and never
+// concurrently with itself. It runs under the pool's lock, so it must
+// not block for long: a slow callback holds back the planning of new
+// runs, though never the runs already executing.
 func WithProgress(fn func(RunResult)) Option {
 	return func(c *config) { c.Progress = fn }
 }

@@ -2,23 +2,29 @@ package explore
 
 import (
 	"context"
+	"sync"
 
 	"asyncg/internal/trace"
 )
 
-// This file implements the engine's single coordinator: one loop drives
-// every strategy at every worker count.
+// This file implements the engine's worker pool: one loop drives every
+// strategy at every worker count, and there is no coordinator
+// goroutine.
 //
 // Every run is an isolated single-threaded simulation, and nothing
 // about a run's RunResult depends on cross-run state. That makes the
-// schedule space embarrassingly parallel — the coordinator's work is
-// asking the strategy what to run next, handing the job to a pool
-// worker, and reassembling results in run-index order so the aggregate
-// Result is byte-identical to a sequential exploration.
+// schedule space embarrassingly parallel. The coordination that is left
+// — asking the strategy what to run next, and reassembling results in
+// run-index order so the aggregate Result is byte-identical to a
+// sequential exploration — is shared state under one mutex, which the
+// workers enter themselves: a worker takes the lock to plan its next
+// run, executes the run (Reset, Run, fingerprint) outside it, and takes
+// it again to hand the result in and plan the next one. Run's caller
+// is worker 0, so WithWorkers(1) starts no goroutine at all.
 //
-// Workers are persistent: each pool goroutine owns one Runner for the
-// whole exploration (Target.NewRunner when the target provides it, the
-// fresh-runtime fallback otherwise) and Resets it between jobs, so the
+// Workers are persistent: each one owns one Runner for the whole
+// exploration (Target.NewRunner when the target provides it, the
+// fresh-runtime fallback otherwise) and Resets it between runs, so the
 // session's allocation set — event loop queues, graph nodes, detector
 // state, emitter and promise pools — is paid for once per worker, not
 // once per schedule. The Reset contract (asyncg.Session.Reset) makes a
@@ -27,51 +33,61 @@ import (
 // the Result is byte-identical at any worker count, with or without
 // reusable runners.
 //
-// The feedback loop is the part that must not race: strategies plan
-// from what they have observed (the exhaustive frontier grows out of
-// completed runs; the coverage corpus accumulates new-fingerprint
-// schedules). Observe is therefore called strictly in run-index order,
-// from the same in-order drain that emits results — a run completing
-// early never reaches the strategy before its predecessors. When a
-// strategy needs feedback that is still in flight it answers PlanWait,
-// and the coordinator holds planning until the next completion lands —
-// the sliding window that reproduces the sequential schedule exactly,
-// whatever the completion interleaving.
+// The lock guards the strategy, the plan and emit cursors, the
+// in-flight count, the buffer of runs completed out of order, the
+// fingerprint census, the chooser pool, the Result under construction,
+// and the halt state. Strategies plan from what they have observed
+// (the exhaustive frontier grows out of completed runs; the coverage
+// corpus accumulates new-fingerprint schedules), so Observe is called
+// strictly in run-index order: by whichever worker hands in the run
+// that extends the emitted prefix. That worker also takes the NewGraph
+// census, recycles the run's chooser, snapshots the CoverageReporter
+// stats, and calls emitRun, and with it the Progress callback; a run
+// completing early waits in pending until its predecessors are in. The
+// lock is held across the strategy's and the callback's code on
+// purpose: serializing those calls in run-index order is its job, so a
+// slow callback delays the next plan, never a run already executing.
+// The built-in strategies keep their share of the lock cheap: the
+// seeded walks build and seed their generators on the run's first pick,
+// outside it (see walk).
 //
-// Choosers are pooled on the coordinator goroutine: a recording is
-// handed out at dispatch and recycled after its feedback has been
-// consumed (Observe called, WithRunFeedback copies taken), never
-// earlier — out-of-order completions park in pending with their
-// recordings intact. The pool is capped at 2×Workers: in flight plus
-// parked is bounded by that, so a larger pool could never be touched.
+// When a strategy needs feedback that is still in flight it answers
+// PlanWait, and the worker waits on a condition variable until the next
+// hand-in — the sliding window that reproduces the sequential schedule
+// exactly, whatever the completion interleaving. A PlanWait with
+// nothing in flight can never be answered, so it ends planning instead.
 //
-// Cancellation discipline: the context is polled before every dispatch
-// and at every result receipt; once it fires, no new work is
-// dispatched, in-flight runs stop at their next tick boundary (the
-// loop-level interrupt), and the coordinator drains every worker before
-// returning — cancellation never abandons a goroutine. Runs delivered
-// after the cancel observation are discarded as possibly truncated, so
-// the partial Result covers only complete runs.
+// Choosers are pooled under the lock: a recording is handed out at
+// Plan and recycled after its feedback has been consumed (Observe
+// called, WithRunFeedback copies taken), never earlier — out-of-order
+// completions park in pending with their recordings intact. The pool
+// is capped at 2×Workers.
 //
-// Panic discipline: a panicking target is recovered inside runOnce (so
-// it can never kill a worker goroutine) and arrives at the coordinator
-// as doneRun.err. The first such error cancels the coordinator's
-// internal context — stopping dispatch and interrupting in-flight runs
-// exactly like an external cancel — and is returned after the pool
-// drains, so a panic fails the exploration, not the process. A worker
-// whose runner panicked replaces it with a fresh one before taking the
-// next job: the old runtime's state is unknowable mid-panic, and the
-// exploration is ending anyway.
+// Cancellation discipline: the context is checked under the lock
+// before every Plan and at every hand-in; once it fires, no new run is
+// planned, in-flight runs stop at their next tick boundary (the
+// loop-level interrupt), and Run returns only after every worker has
+// exited — cancellation never abandons a goroutine. Runs handed in
+// after the cancel are discarded as possibly truncated, so the partial
+// Result covers only complete runs.
+//
+// Panic discipline: a panicking target is recovered inside runOnce and
+// handed in as doneRun.err. The first such error cancels the pool's
+// internal context — stopping planning and interrupting in-flight runs
+// exactly like an external cancel — and is returned after the workers
+// exit, so a target panic fails the exploration, not the process. A
+// worker whose runner panicked replaces it with a fresh one: the old
+// runtime's state is unknowable mid-panic. The strategy and the
+// Progress callback run on whichever worker holds the lock, which may
+// be a spawned goroutine no caller can recover on. So every worker
+// recovers any other panic, records the first one, and halts the pool
+// the same way; once every worker has exited, Run re-panics with that
+// value on the caller's goroutine, where it would surface in a
+// sequential exploration.
 
-// job is one schedule dispatched to a pool worker.
-type job struct {
-	idx int
-	ch  *chooser
-}
-
-// doneRun carries one finished schedule back to the coordinator; ch
-// holds the recording (picks, domains, independence flags) that becomes
-// the strategy's feedback.
+// doneRun is one finished schedule a worker hands in; ch holds the
+// recording (picks, domains, independence flags) that becomes the
+// strategy's feedback.
 type doneRun struct {
 	idx  int
 	rr   RunResult
@@ -80,137 +96,213 @@ type doneRun struct {
 	err  error // a recovered target panic; fatal to the exploration
 }
 
-// runCoordinator executes the exploration: plan → dispatch → observe →
-// emit, with up to cfg.Workers runs in flight on persistent workers.
-func runCoordinator(ctx context.Context, t Target, cfg config, res *Result) error {
-	// The internal cancel lets a panicking run stop the exploration the
-	// same way an external cancel does (halt dispatch, interrupt
-	// in-flight runs at their next tick boundary, drain the pool).
+// pool is the coordinator state the workers share. The fields above mu
+// are fixed for the exploration; mu guards the rest.
+type pool struct {
+	t    Target
+	cfg  *config
+	res  *Result
+	ctx  context.Context
+	stop context.CancelFunc
+
+	mu       sync.Mutex
+	handedIn sync.Cond // on mu; wakes workers waiting out PlanWait
+	nextPlan int
+	nextEmit int
+	inFlight int // planned runs not yet handed in
+	planDone bool
+	pending  map[int]doneRun
+	seen     map[string]bool // fingerprints, in run-index order
+	choosers []*chooser
+	err      error // the first target panic
+	panicVal any   // the first panic outside a run (recover never yields nil)
+}
+
+// runPool executes the exploration with up to cfg.Workers runs in
+// flight, the caller being one of the workers.
+func runPool(ctx context.Context, t Target, cfg config, res *Result) error {
+	// The internal cancel lets a panic stop the exploration the same way
+	// an external cancel does (halt planning, interrupt in-flight runs
+	// at their next tick boundary).
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
+	p := &pool{t: t, cfg: &cfg, res: res, ctx: ctx, stop: stop,
+		pending: make(map[int]doneRun), seen: make(map[string]bool)}
+	p.handedIn.L = &p.mu
 
-	jobs := make(chan job)
-	done := make(chan doneRun)
-	defer close(jobs)
-	for w := 0; w < cfg.Workers; w++ {
+	var wg sync.WaitGroup
+	for w := 1; w < cfg.Workers; w++ {
+		wg.Add(1)
 		go func() {
-			runner := t.runner()
-			in := newIntern()
-			proxy := &schedProxy{}
-			extras := workerExtras(ctx, proxy, &cfg)
-			for j := range jobs {
-				runner.Reset() // no-op on a cold runner
-				proxy.ch = j.ch
-				rr, snap, err := runOnce(ctx, runner.Run, j.idx, j.ch, extras, &cfg, in)
-				if err != nil {
-					// The runtime is mid-panic state; start over.
-					runner = t.runner()
-				}
-				done <- doneRun{idx: j.idx, rr: rr, snap: snap, ch: j.ch, err: err}
-			}
+			defer wg.Done()
+			p.work()
 		}()
 	}
-
-	var chooserPool []*chooser
-	takeChooser := func(next PickFunc) *chooser {
-		if n := len(chooserPool); n > 0 {
-			ch := chooserPool[n-1]
-			chooserPool = chooserPool[:n-1]
-			ch.reset(next)
-			return ch
-		}
-		return newChooser(cfg.Kinds, next)
+	p.work()
+	wg.Wait()
+	if p.panicVal != nil {
+		panic(p.panicVal)
 	}
-	putChooser := func(ch *chooser) {
-		if len(chooserPool) < 2*cfg.Workers {
-			chooserPool = append(chooserPool, ch)
-		}
-	}
-
-	pending := make(map[int]doneRun)
-	seen := make(map[string]bool) // fingerprints, in run-index order
-	inFlight := 0
-	nextPlan, nextEmit := 0, 0
-	planDone := false
-	var panicErr error
-
-	for {
-		for !planDone && panicErr == nil && ctx.Err() == nil &&
-			inFlight < cfg.Workers && nextPlan < cfg.Runs {
-			next, state := cfg.Strategy.Plan(nextPlan)
-			if state == PlanWait {
-				// With nothing in flight a waiting strategy can never
-				// unblock; treat it as done rather than livelock. A
-				// correct strategy only waits on in-flight feedback.
-				if inFlight == 0 {
-					planDone = true
-				}
-				break
-			}
-			if state == PlanDone {
-				planDone = true
-				break
-			}
-			idx := nextPlan
-			nextPlan++
-			inFlight++
-			// inFlight < Workers guaranteed an idle worker; the send
-			// blocks at most until it loops back to the jobs receive.
-			jobs <- job{idx: idx, ch: takeChooser(next)}
-		}
-		if inFlight == 0 {
-			break
-		}
-		d := <-done
-		inFlight--
-		if d.err != nil && panicErr == nil {
-			panicErr = d.err
-			stop()
-		}
-		if panicErr != nil || ctx.Err() != nil {
-			continue // drain in-flight runs; they stop at a tick boundary
-		}
-		pending[d.idx] = d
-		for {
-			nd, ok := pending[nextEmit]
-			if !ok {
-				break
-			}
-			delete(pending, nextEmit)
-			nextEmit++
-			rr := nd.rr
-			if !seen[rr.Fingerprint] {
-				seen[rr.Fingerprint] = true
-				rr.NewGraph = true
-			}
-			rr.NewGraphs = len(seen)
-			if cfg.Feedback {
-				rr.Domains = append([]int(nil), nd.ch.domains...)
-				rr.Independent = append([]bool(nil), nd.ch.indep...)
-			}
-			cfg.Strategy.Observe(Feedback{
-				Index:       rr.Index,
-				Token:       rr.Token,
-				Picks:       nd.ch.picks,
-				Domains:     nd.ch.domains,
-				Independent: nd.ch.indep,
-				Fingerprint: rr.Fingerprint,
-				NewGraph:    rr.NewGraph,
-				Warnings:    rr.Warnings,
-				Err:         rr.Err,
-				Ticks:       rr.Ticks,
-			})
-			putChooser(nd.ch)
-			if cr, ok := cfg.Strategy.(CoverageReporter); ok {
-				stats := cr.CoverageStats()
-				rr.CorpusSize = stats.CorpusSize
-				rr.PrunedPicks = stats.PrunedPicks
-			}
-			emitRun(res, &cfg, rr, nd.snap)
-		}
-	}
-	if panicErr != nil {
-		return panicErr
+	if p.err != nil {
+		return p.err
 	}
 	return ctx.Err()
+}
+
+// work is one worker: plan a run, execute it, hand it in, until
+// planning ends or the exploration halts.
+func (p *pool) work() {
+	defer func() {
+		if v := recover(); v != nil {
+			p.fail(v)
+		}
+	}()
+	runner := p.t.runner()
+	in := newIntern()
+	proxy := &schedProxy{}
+	extras := workerExtras(p.ctx, proxy, p.cfg)
+	idx, ch, ok := p.next(nil)
+	for ok {
+		runner.Reset() // no-op on a cold runner
+		proxy.ch = ch
+		rr, snap, err := runOnce(p.ctx, runner.Run, idx, ch, extras, p.cfg, in)
+		if err != nil {
+			// The runtime is mid-panic state; start over.
+			runner = p.t.runner()
+		}
+		done := doneRun{idx: idx, rr: rr, snap: snap, ch: ch, err: err}
+		idx, ch, ok = p.next(&done)
+	}
+}
+
+// next hands in the worker's finished run, if any, and plans its next
+// one, under one acquisition of the lock.
+func (p *pool) next(d *doneRun) (idx int, ch *chooser, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if d != nil {
+		p.handIn(d)
+	}
+	return p.plan()
+}
+
+// halted reports that the exploration stops planning and emitting: an
+// external cancel, or a panic, which cancels the pool's context too.
+func (p *pool) halted() bool { return p.ctx.Err() != nil }
+
+// plan asks the strategy for the next run, waiting while it answers
+// PlanWait with runs still in flight; ok is false once planning has
+// ended or the exploration has halted. Callers hold mu.
+func (p *pool) plan() (idx int, ch *chooser, ok bool) {
+	for !p.planDone && p.nextPlan < p.cfg.Runs && !p.halted() {
+		next, state := p.cfg.Strategy.Plan(p.nextPlan)
+		if state == PlanReady {
+			idx = p.nextPlan
+			p.nextPlan++
+			p.inFlight++
+			return idx, p.takeChooser(next), true
+		}
+		if state == PlanWait && p.inFlight > 0 {
+			p.handedIn.Wait()
+			continue
+		}
+		// PlanDone, or a PlanWait that nothing in flight can answer: a
+		// correct strategy only waits on in-flight feedback, so treat it
+		// as done rather than livelock.
+		p.planDone = true
+		p.handedIn.Broadcast()
+	}
+	return 0, nil, false
+}
+
+// handIn takes back a finished run and, unless the exploration has
+// halted, emits every run that is now next in index order. Callers
+// hold mu.
+func (p *pool) handIn(d *doneRun) {
+	p.inFlight--
+	p.handedIn.Broadcast()
+	if d.err != nil && p.err == nil {
+		p.err = d.err
+		p.stop()
+	}
+	if p.halted() {
+		return // possibly truncated; the partial Result ends before it
+	}
+	if d.idx != p.nextEmit {
+		p.pending[d.idx] = *d
+		return
+	}
+	p.emit(d)
+	for {
+		nd, ok := p.pending[p.nextEmit]
+		if !ok {
+			return
+		}
+		delete(p.pending, p.nextEmit)
+		p.emit(&nd)
+	}
+}
+
+// emit feeds the next run in index order back to the strategy and
+// appends it to the Result. Callers hold mu.
+func (p *pool) emit(nd *doneRun) {
+	p.nextEmit++
+	rr := nd.rr
+	if !p.seen[rr.Fingerprint] {
+		p.seen[rr.Fingerprint] = true
+		rr.NewGraph = true
+	}
+	rr.NewGraphs = len(p.seen)
+	if p.cfg.Feedback {
+		rr.Domains = append([]int(nil), nd.ch.domains...)
+		rr.Independent = append([]bool(nil), nd.ch.indep...)
+	}
+	p.cfg.Strategy.Observe(Feedback{
+		Index:       rr.Index,
+		Token:       rr.Token,
+		Picks:       nd.ch.picks,
+		Domains:     nd.ch.domains,
+		Independent: nd.ch.indep,
+		Fingerprint: rr.Fingerprint,
+		NewGraph:    rr.NewGraph,
+		Warnings:    rr.Warnings,
+		Err:         rr.Err,
+		Ticks:       rr.Ticks,
+	})
+	p.putChooser(nd.ch)
+	if cr, ok := p.cfg.Strategy.(CoverageReporter); ok {
+		stats := cr.CoverageStats()
+		rr.CorpusSize = stats.CorpusSize
+		rr.PrunedPicks = stats.PrunedPicks
+	}
+	emitRun(p.res, p.cfg, rr, nd.snap)
+}
+
+// fail records the first panic raised on a worker outside a run and
+// halts the exploration; Run re-panics with it once every worker has
+// exited.
+func (p *pool) fail(v any) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.panicVal == nil {
+		p.panicVal = v
+	}
+	p.stop()
+	p.handedIn.Broadcast()
+}
+
+func (p *pool) takeChooser(next PickFunc) *chooser {
+	if n := len(p.choosers); n > 0 {
+		ch := p.choosers[n-1]
+		p.choosers = p.choosers[:n-1]
+		ch.reset(next)
+		return ch
+	}
+	return newChooser(p.cfg.Kinds, next)
+}
+
+func (p *pool) putChooser(ch *chooser) {
+	if len(p.choosers) < 2*p.cfg.Workers {
+		p.choosers = append(p.choosers, ch)
+	}
 }

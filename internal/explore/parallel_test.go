@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -71,9 +72,9 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestPanicBecomesError: a panicking target fails the exploration with
-// an error instead of killing the process — critically on the pool
-// goroutines of the parallel coordinator, where an unrecovered panic
-// cannot be caught by any caller of Run.
+// an error instead of killing the process — critically on the pool's
+// spawned workers, where an unrecovered panic cannot be caught by any
+// caller of Run.
 func TestPanicBecomesError(t *testing.T) {
 	boom := Target{
 		Name: "boom",
@@ -135,8 +136,92 @@ func TestPanicMidExploration(t *testing.T) {
 	}
 }
 
+// panicStrategy wraps a strategy and panics with val in Plan (inPlan)
+// or Observe of run at.
+type panicStrategy struct {
+	Strategy
+	inPlan bool
+	at     int
+	val    any
+}
+
+func (s *panicStrategy) Plan(i int) (PickFunc, PlanState) {
+	if s.inPlan && i == s.at {
+		panic(s.val)
+	}
+	return s.Strategy.Plan(i)
+}
+
+func (s *panicStrategy) Observe(fb Feedback) {
+	if !s.inPlan && fb.Index == s.at {
+		panic(s.val)
+	}
+	s.Strategy.Observe(fb)
+}
+
+// TestStrategyPanicReraised: a strategy panic is not a target panic.
+// Plan and Observe may run on a spawned worker, where nothing could
+// recover it, so the pool carries the panic back: Run re-panics with
+// the original value on the caller's goroutine, after every worker has
+// exited.
+func TestStrategyPanicReraised(t *testing.T) {
+	tg := caseTarget(t, "SO-17894000")
+	type boom struct{ where string }
+	for _, tc := range []struct {
+		where  string
+		inPlan bool
+		at     int
+	}{
+		{"observe", false, 3},
+		{"plan", true, 5},
+	} {
+		for _, workers := range []int{1, 4} {
+			val := &boom{tc.where}
+			strat := &panicStrategy{Strategy: NewRandom(1), inPlan: tc.inPlan, at: tc.at, val: val}
+			before := runtime.NumGoroutine()
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				Run(context.Background(), tg, WithRuns(16), WithStrategy(strat), WithWorkers(workers))
+				return nil
+			}()
+			if got != val {
+				t.Errorf("%s/workers=%d: recovered %v, want the strategy's panic value %v", tc.where, workers, got, val)
+			}
+			settleGoroutines(t, before)
+		}
+	}
+}
+
+// TestProgressSerialized: with eight workers handing in runs, the
+// progress callback still sees every run once, in index order, and
+// never overlaps itself — whichever worker happens to call it.
+func TestProgressSerialized(t *testing.T) {
+	tg := caseTarget(t, "SO-17894000")
+	const runs = 256
+	var inside atomic.Bool
+	var overlaps atomic.Int64
+	next := 0
+	mustRun(t, tg, WithRuns(runs), WithSeed(4), WithWorkers(8), WithProgress(func(rr RunResult) {
+		if inside.Swap(true) {
+			overlaps.Add(1)
+		}
+		if rr.Index != next {
+			t.Errorf("progress saw run %d, want %d", rr.Index, next)
+		}
+		next++
+		runtime.Gosched() // widen the window an overlapping call would need
+		inside.Store(false)
+	}))
+	if next != runs {
+		t.Errorf("progress saw %d runs, want %d", next, runs)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("progress callback overlapped itself %d time(s)", n)
+	}
+}
+
 // TestParallelExhaustiveTruncation: when the budget cuts the
-// enumeration, the parallel coordinator must stop at exactly the same
+// enumeration, the parallel pool must stop at exactly the same
 // breadth-first point as the sequential loop (same runs, same
 // Exhausted=false flag).
 func TestParallelExhaustiveTruncation(t *testing.T) {

@@ -11,8 +11,8 @@ import (
 // variants are forced by stripping the Target down to one path each —
 // Run-only falls back to funcRunner (cold runtime every schedule),
 // NewRunner-only reuses pooled loop/graph/detector state. Run under
-// -race this also exercises the handoff of pooled choosers and RNGs
-// between the coordinator and worker goroutines. The AcmeAir legs cover
+// -race this also exercises the handoff of pooled choosers and walks
+// between worker goroutines through the pool's lock. The AcmeAir legs cover
 // the sealed sample database: a reused runner restores it on Reset
 // where a fresh runtime loads it anew, and every schedule that books a
 // flight writes to it.

@@ -95,7 +95,10 @@ type Feedback struct {
 //     while later runs are already executing, but never before the
 //     feedback of every earlier run.
 //   - Plan and Observe are never called concurrently; strategies need
-//     no locking.
+//     no locking. Successive calls may come from different goroutines,
+//     though — whichever pool worker, or Run's caller, plans the next
+//     run or hands in the next run in index order makes the call — so
+//     a strategy must not depend on goroutine identity.
 //
 // For the Result to stay byte-identical across worker counts, Plan(i)
 // must depend only on i and on feedback the strategy could also have
@@ -154,10 +157,11 @@ type StrategyParams struct {
 
 // Planner is a Strategy whose runs are data: PlanRun answers Plan's
 // question with a serializable RunPlan instead of a closure. Every
-// built-in strategy is a Planner, and its Plan is a thin adapter over
-// PlanRun — which is what lets the fleet coordinator drive the very
-// strategy object a local exploration uses, shipping the plans to
-// remote workers instead of executing them in-process.
+// built-in strategy is a Planner, and its Plan runs the plan PlanRun
+// describes (the seeded walks recycle their generators through a pool)
+// — which is what lets the fleet coordinator drive the very strategy
+// object a local exploration uses, shipping the plans to remote workers
+// instead of executing them in-process.
 type Planner interface {
 	Strategy
 	// PlanRun answers for run i under Plan's contract (consecutive
@@ -248,22 +252,15 @@ func (p RunPlan) validate() error {
 }
 
 // PickFunc builds the run's pick function. Every call builds a fresh
-// generator, so the plan can be executed any number of times.
+// walk, so the plan can be executed any number of times; a seeded walk
+// builds its generator on the run's first pick (see walk).
 func (p RunPlan) PickFunc() PickFunc {
-	switch p.Walk {
-	case StrategyDelay:
-		return delayNext(rand.New(rand.NewSource(p.Seed)), p.DelayBound)
-	case StrategyCoverage:
-		rng := rand.New(rand.NewSource(p.Seed))
-		if coverageDraw(rng, p.Corpus) < 0 {
-			return randomNext(rng)
-		}
-		return mutateNext(rng, p.Picks)
-	case StrategyExhaustive:
+	if p.Walk == StrategyExhaustive {
 		return playbackNext(p.Picks)
-	default:
-		return randomNext(rand.New(rand.NewSource(p.Seed)))
 	}
+	w := newWalk()
+	w.plan = p
+	return w.next
 }
 
 // planPicks adapts PlanRun to Plan for the built-in strategies.
@@ -274,26 +271,128 @@ func planPicks(p RunPlan, st PlanState) (PickFunc, PlanState) {
 	return p.PickFunc(), PlanReady
 }
 
-// randomStrategy: uniform sampling; feedback is used only to recycle
-// each run's generator.
-type randomStrategy struct {
-	seed int64
+// walk is one run of a seeded pick rule — random, delay, or coverage.
+// It seeds its generator on the run's first pick, inside Run on the
+// worker executing the run, never at Plan: the engine serializes
+// planning, and seeding a math/rand generator costs about as much as a
+// small program's whole run. A coverage walk replays its sample-or-mutate draw
+// at that point too. Reseeding a pooled generator with rand.Seed
+// reproduces the exact state rand.NewSource builds, so a pooled walk and
+// a fresh one draw the same picks.
+type walk struct {
+	plan RunPlan
+	// corpus is the corpus a locally planned coverage run draws its
+	// mutation parent from; nil when the plan carries the parent in
+	// plan.Picks.
+	corpus []corpusEntry
 
-	// out and free pool the seeded generators (and the pick closures
-	// bound to them): a generator is handed out at Plan, used by
-	// exactly one in-flight run, and reclaimed when that run's
-	// feedback arrives. Plan and Observe both execute on the
-	// coordinator goroutine, so no locking is needed, and reseeding
-	// with rand.Seed reproduces the exact state rand.NewSource would
-	// build — pooled or fresh, run i draws the same pick sequence.
-	out  map[int]*seededNext
-	free []*seededNext
+	rng    *rand.Rand
+	seeded bool
+	budget int   // delay: non-default picks left
+	mutate bool  // coverage: the draw chose to mutate parent
+	parent []int // coverage: the mutation parent
+	next   PickFunc
 }
 
-// seededNext is one pooled generator with its pick closure.
-type seededNext struct {
-	rng  *rand.Rand
-	next PickFunc
+func newWalk() *walk {
+	w := &walk{}
+	w.next = w.pick
+	return w
+}
+
+// start seeds the generator and makes the walk's up-front draws.
+func (w *walk) start() {
+	if w.rng == nil {
+		w.rng = rand.New(rand.NewSource(w.plan.Seed))
+	} else {
+		w.rng.Seed(w.plan.Seed)
+	}
+	w.seeded = true
+	w.budget = w.plan.DelayBound
+	w.mutate, w.parent = false, nil
+	if w.plan.Walk == StrategyCoverage {
+		if k := coverageDraw(w.rng, w.plan.Corpus); k >= 0 {
+			w.mutate, w.parent = true, w.plan.Picks
+			if w.corpus != nil {
+				w.parent = w.corpus[k].picks
+			}
+		}
+	}
+}
+
+// pick is the walk's PickFunc. Random draws every pick uniformly. Delay
+// perturbs the default schedule with at most DelayBound non-default
+// picks, each site deviating with probability 1/4. A coverage walk
+// either samples uniformly or replays its parent with light greybox
+// mutation: each position deviates with probability 1/8, drawing
+// uniformly from the live domain, and positions past the parent's end
+// take the default pick. Replayed picks from a diverged schedule may
+// exceed the current domain — the chooser clamps them to 0, exactly as
+// token replay does.
+func (w *walk) pick(pos int, _ eventloop.ChoiceKind, n int) int {
+	if !w.seeded {
+		w.start()
+	}
+	switch {
+	case w.plan.Walk == StrategyDelay:
+		if w.budget > 0 && w.rng.Intn(4) == 0 {
+			w.budget--
+			return 1 + w.rng.Intn(n-1)
+		}
+		return 0
+	case w.mutate:
+		if w.rng.Intn(8) == 0 {
+			return w.rng.Intn(n)
+		}
+		if pos < len(w.parent) {
+			return w.parent[pos]
+		}
+		return 0
+	default:
+		return w.rng.Intn(n)
+	}
+}
+
+// walkPool recycles a seeded strategy's walks, generators included: a
+// walk is handed out at Plan, used by exactly one in-flight run, and
+// reclaimed when that run's feedback arrives, so a steady-state
+// exploration allocates no generator per run. Plan and Observe are never
+// concurrent (see Strategy), so the pool needs no locking.
+type walkPool struct {
+	out  map[int]*walk
+	free []*walk
+}
+
+// take hands out run i's walk of plan p (corpus: see walk.corpus).
+func (wp *walkPool) take(i int, p RunPlan, corpus []corpusEntry) PickFunc {
+	var w *walk
+	if n := len(wp.free); n > 0 {
+		w = wp.free[n-1]
+		wp.free = wp.free[:n-1]
+	} else {
+		w = newWalk()
+	}
+	w.plan, w.corpus, w.seeded = p, corpus, false
+	if wp.out == nil {
+		wp.out = make(map[int]*walk)
+	}
+	wp.out[i] = w
+	return w.next
+}
+
+// put reclaims run i's walk, if the pool handed one out.
+func (wp *walkPool) put(i int) {
+	if w, ok := wp.out[i]; ok {
+		delete(wp.out, i)
+		wp.free = append(wp.free, w)
+	}
+}
+
+// randomStrategy: uniform sampling; feedback is used only to recycle
+// each run's walk.
+type randomStrategy struct {
+	seed  int64
+	walks walkPool
 }
 
 // NewRandom returns the uniform-sampling strategy. Run i draws every
@@ -309,33 +408,17 @@ func (s *randomStrategy) PlanRun(i int) (RunPlan, PlanState) {
 
 func (s *randomStrategy) Plan(i int) (PickFunc, PlanState) {
 	p, _ := s.PlanRun(i)
-	var e *seededNext
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-		e.rng.Seed(p.Seed)
-	} else {
-		e = &seededNext{rng: rand.New(rand.NewSource(p.Seed))}
-		e.next = randomNext(e.rng)
-	}
-	if s.out == nil {
-		s.out = make(map[int]*seededNext)
-	}
-	s.out[i] = e
-	return e.next, PlanReady
+	return s.walks.take(i, p, nil), PlanReady
 }
 
-func (s *randomStrategy) Observe(fb Feedback) {
-	if e, ok := s.out[fb.Index]; ok {
-		delete(s.out, fb.Index)
-		s.free = append(s.free, e)
-	}
-}
+func (s *randomStrategy) Observe(fb Feedback) { s.walks.put(fb.Index) }
 
-// delayStrategy: delay-bounded sampling; feedback is ignored.
+// delayStrategy: delay-bounded sampling; feedback is used only to
+// recycle each run's walk.
 type delayStrategy struct {
 	seed  int64
 	bound int
+	walks walkPool
 }
 
 // NewDelay returns the delay-bounded strategy: each run deviates from
@@ -354,9 +437,12 @@ func (s *delayStrategy) PlanRun(i int) (RunPlan, PlanState) {
 	return RunPlan{Walk: StrategyDelay, Seed: s.seed + int64(i), DelayBound: s.bound}, PlanReady
 }
 
-func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
+func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) {
+	p, _ := s.PlanRun(i)
+	return s.walks.take(i, p, nil), PlanReady
+}
 
-func (s *delayStrategy) Observe(Feedback) {}
+func (s *delayStrategy) Observe(fb Feedback) { s.walks.put(fb.Index) }
 
 // exhaustiveStrategy owns the breadth-first frontier of forced pick
 // prefixes. Each observed run exposes the branching domains along its
@@ -458,38 +544,62 @@ type coverageStrategy struct {
 	entries    []corpusEntry
 	boundaries []int // corpus size visible to each generation
 	observed   int
-	// scratch makes PlanRun's draw: reseeded per run, so planning
-	// allocates no generator (PickFunc builds the run's own).
+	walks      walkPool
+	// scratch makes PlanRun's draw, reseeded per plan. It is built on
+	// first use: Plan leaves the draw to the run's walk, so a local
+	// exploration never needs it.
 	scratch *rand.Rand
 }
 
 // NewCoverage returns the coverage-guided strategy (see
 // StrategyCoverage), seeded like NewRandom.
 func NewCoverage(seed int64) Strategy {
-	return &coverageStrategy{seed: seed, boundaries: []int{0}, scratch: rand.New(rand.NewSource(seed))}
+	return &coverageStrategy{seed: seed, boundaries: []int{0}}
 }
 
 func (s *coverageStrategy) Name() string { return StrategyCoverage }
 
-func (s *coverageStrategy) PlanRun(i int) (RunPlan, PlanState) {
+// generation answers for run i up to its draw: the plan without the
+// mutation parent, and the corpus the draw picks the parent from.
+func (s *coverageStrategy) generation(i int) (RunPlan, []corpusEntry, PlanState) {
 	g := i / coverageGeneration
 	if g >= len(s.boundaries) {
 		// Generation g opens only after every run of generations < g has
 		// been observed.
-		return RunPlan{}, PlanWait
+		return RunPlan{}, nil, PlanWait
 	}
 	corpus := s.entries[:s.boundaries[g]]
-	p := RunPlan{Walk: StrategyCoverage, Seed: s.seed + int64(i), Corpus: len(corpus)}
-	s.scratch.Seed(p.Seed)
+	return RunPlan{Walk: StrategyCoverage, Seed: s.seed + int64(i), Corpus: len(corpus)}, corpus, PlanReady
+}
+
+func (s *coverageStrategy) PlanRun(i int) (RunPlan, PlanState) {
+	p, corpus, st := s.generation(i)
+	if st != PlanReady {
+		return p, st
+	}
+	if s.scratch == nil {
+		s.scratch = rand.New(rand.NewSource(p.Seed))
+	} else {
+		s.scratch.Seed(p.Seed)
+	}
 	if k := coverageDraw(s.scratch, len(corpus)); k >= 0 {
 		p.Picks = corpus[k].picks
 	}
 	return p, PlanReady
 }
 
-func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
+// Plan hands the draw to the run's walk, which makes it against the
+// same corpus on the run's first pick.
+func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) {
+	p, corpus, st := s.generation(i)
+	if st != PlanReady {
+		return nil, st
+	}
+	return s.walks.take(i, p, corpus), PlanReady
+}
 
 func (s *coverageStrategy) Observe(fb Feedback) {
+	s.walks.put(fb.Index)
 	if fb.NewGraph {
 		s.entries = append(s.entries, corpusEntry{picks: append([]int(nil), fb.Picks...)})
 	}
@@ -508,8 +618,8 @@ func (s *coverageStrategy) CoverageStats() CoverageStats {
 // to sample uniformly — always with an empty corpus, otherwise one run
 // in four, so the walk keeps discovering schedules no corpus
 // neighborhood reaches — or the index of the corpus entry to mutate.
-// PlanRun and RunPlan.PickFunc both make it, so the run's generator
-// reaches the walk in the same state either way.
+// PlanRun and the run's walk both make it, so the run's generator
+// reaches the walk's picks in the same state either way.
 func coverageDraw(rng *rand.Rand, corpus int) int {
 	if corpus == 0 || rng.Intn(4) == 0 {
 		return -1
@@ -528,23 +638,6 @@ func pickWeighted(rng *rand.Rand, n int) int {
 		}
 	}
 	return n - 1
-}
-
-// mutateNext replays a corpus schedule with light greybox mutation:
-// each position deviates with probability 1/8 (drawing uniformly from
-// the live domain); positions past the seed's end take the default
-// pick. Replayed picks from a diverged schedule may exceed the current
-// domain — the chooser clamps them to 0, exactly as token replay does.
-func mutateNext(rng *rand.Rand, seed []int) PickFunc {
-	return func(pos int, _ eventloop.ChoiceKind, n int) int {
-		if rng.Intn(8) == 0 {
-			return rng.Intn(n)
-		}
-		if pos < len(seed) {
-			return seed[pos]
-		}
-		return 0
-	}
 }
 
 // DefaultKinds is the choice-point classes explored unless configured
@@ -635,8 +728,8 @@ func newChooser(kinds []eventloop.ChoiceKind, next PickFunc) *chooser {
 // reset rewinds a pooled chooser for its next recording, keeping the
 // enabled set (every run of an exploration perturbs the same kinds) and
 // the recording slices' capacity. Callers must have consumed or copied
-// the previous recording: the coordinator recycles a chooser only after
-// the strategy's Observe call returned.
+// the previous recording: the pool recycles a chooser only after the
+// strategy's Observe call returned.
 func (c *chooser) reset(next PickFunc) {
 	c.next = next
 	c.picks = c.picks[:0]
@@ -690,24 +783,6 @@ func (c *chooser) Choose(kind eventloop.ChoiceKind, n int) int {
 
 // Schedule returns the recorded pick sequence.
 func (c *chooser) Schedule() Schedule { return Schedule{Picks: c.picks} }
-
-// randomNext draws every pick uniformly.
-func randomNext(rng *rand.Rand) PickFunc {
-	return func(_ int, _ eventloop.ChoiceKind, n int) int { return rng.Intn(n) }
-}
-
-// delayNext perturbs the default schedule with at most bound non-default
-// picks, each site deviating with probability 1/4.
-func delayNext(rng *rand.Rand, bound int) PickFunc {
-	budget := bound
-	return func(_ int, _ eventloop.ChoiceKind, n int) int {
-		if budget > 0 && rng.Intn(4) == 0 {
-			budget--
-			return 1 + rng.Intn(n-1)
-		}
-		return 0
-	}
-}
 
 // playbackNext replays a recorded pick sequence, defaulting to 0 past
 // its end (tokens trim trailing zeros, and a deviated prefix may make

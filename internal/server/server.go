@@ -414,7 +414,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Admission happens under the lock so drain (close(queue)) cannot
 	// race the send; the send itself never blocks — a full buffered
-	// channel is the 429 path, not a wait.
+	// channel is the 429 path, not a wait. The 202 view is taken before
+	// the send: once the job is on the queue a pool worker may already
+	// be running it, or even have finished it.
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -422,14 +424,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
+	s.nextID++
+	j.id = "job-" + strconv.Itoa(s.nextID)
+	accepted := j.snapshotView(false)
 	select {
 	case s.queue <- j:
-		s.nextID++
-		j.id = "job-" + strconv.Itoa(s.nextID)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j.id)
 		s.mu.Unlock()
 	default:
+		s.nextID--
+		j.id = ""
 		s.mu.Unlock()
 		j.cancel()
 		s.metrics.mu.Lock()
@@ -454,7 +459,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.snapshotView(false))
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleList is GET /v1/jobs: every job in submission order, without
