@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke fig6-smoke bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
 
 # Tier-1 verify: build, vet, formatting, tests.
 verify: build vet fmt-check test
@@ -41,13 +41,22 @@ race-explore:
 	$(GO) test -race ./internal/explore/...
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 
-# Short native-fuzzing pass over the shard wire decoder: decoded
-# ShardSpecs must validate or fail cleanly, never panic, and accepted
-# ones must run one schedule per plan with replayable tokens. Crashers
-# land in internal/explore/testdata/fuzz/ and are committed as
-# regression seeds.
+# Short native-fuzzing passes over two decoders. Shard wire specs must
+# validate or fail cleanly, never panic, and accepted ones must run one
+# schedule per plan with replayable tokens. Async Graph logs must be
+# rejected or render as DOT and SVG, and re-serialize stably; their
+# seeds are the case corpus' graphs, some over 100 KB, so minimizing a
+# new input is capped at 2 s to leave the budget for fuzzing. Crashers
+# land in the package's testdata/fuzz/ and are committed as regression
+# seeds.
 fuzz-smoke:
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
+	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s
+
+# End-to-end smoke of `asyncg fig6` (both figures on a small load) and
+# of a case's graph log piped through `asyncg viz` as DOT and as SVG.
+fig6-smoke:
+	./scripts/fig6_smoke.sh
 
 # End-to-end smoke of the asyncg serve analysis service: boot, health,
 # a synchronous explore job, NDJSON stream replay, /metrics, and a

@@ -33,8 +33,6 @@ import (
 	"asyncg/internal/detect"
 	"asyncg/internal/eventloop"
 	"asyncg/internal/loc"
-	"asyncg/internal/mongosim"
-	"asyncg/internal/netio"
 	"asyncg/internal/trace"
 	"asyncg/internal/vm"
 )
@@ -69,13 +67,9 @@ const (
 // config is the resolved session configuration built by Options.
 type config struct {
 	loop        eventloop.Options
-	graph       asyncgraph.Config
-	graphSet    bool
 	det         detect.Config
 	detSet      bool
 	disabled    bool
-	network     netio.Options
-	db          mongosim.Options
 	traceW      io.Writer
 	traceFmt    TraceFormat
 	traceCfg    trace.ExporterConfig
@@ -123,23 +117,15 @@ func WithContext(ctx context.Context) Option {
 	return func(c *config) { c.interrupt = errf }
 }
 
-// WithGraph configures what the Async Graph builder tracks. Without this
-// option the builder tracks everything (asyncgraph.DefaultConfig).
-func WithGraph(cfg asyncgraph.Config) Option {
-	return func(c *config) { c.graph = cfg; c.graphSet = true }
-}
-
 // WithDebugStacks turns on creation-stack capture: the graph builder
 // records the Go call stack (via runtime.Callers) at every
 // promise/emitter creation, trigger, and callback registration, and
-// provenance chains render the captured frames under each hop. It
-// composes with WithGraph in any order — the flag is OR'd into the
-// graph config when the session is built. Opt-in because symbolizing a
-// stack per tracked API call dominates the builder's cost (see
-// EXPERIMENTS.md). The exploration layer's [explore.WithDebugStacks]
-// applies this option to the witness replays behind
-// [explore.WithChains]; the canonical semantics table for all three
-// lives in package explore's doc comment.
+// provenance chains render the captured frames under each hop. Opt-in
+// because symbolizing a stack per tracked API call dominates the
+// builder's cost (see EXPERIMENTS.md). The exploration layer's
+// [explore.WithDebugStacks] applies this option to the witness replays
+// behind [explore.WithChains]; the canonical semantics table for all
+// three lives in package explore's doc comment.
 func WithDebugStacks() Option {
 	return func(c *config) { c.debugStacks = true }
 }
@@ -148,16 +134,6 @@ func WithDebugStacks() Option {
 // detectors run with the paper's thresholds (detect.DefaultConfig).
 func WithDetect(cfg detect.Config) Option {
 	return func(c *config) { c.det = cfg; c.detSet = true }
-}
-
-// WithNetwork configures the simulated network.
-func WithNetwork(opts netio.Options) Option {
-	return func(c *config) { c.network = opts }
-}
-
-// WithDB configures the simulated database.
-func WithDB(opts mongosim.Options) Option {
-	return func(c *config) { c.db = opts }
 }
 
 // Disabled runs the program without the Async Graph builder or the
@@ -264,16 +240,8 @@ func New(opts ...Option) *Session {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if !cfg.disabled {
-		if !cfg.graphSet {
-			cfg.graph = asyncgraph.DefaultConfig()
-		}
-		if cfg.debugStacks {
-			cfg.graph.DebugStacks = true
-		}
-		if !cfg.detSet {
-			cfg.det = detect.DefaultConfig()
-		}
+	if !cfg.disabled && !cfg.detSet {
+		cfg.det = detect.DefaultConfig()
 	}
 	if cfg.sched != nil {
 		cfg.loop.Scheduler = cfg.sched
@@ -283,7 +251,9 @@ func New(opts ...Option) *Session {
 	}
 	s := &Session{cfg: cfg, loop: eventloop.New(cfg.loop)}
 	if !cfg.disabled {
-		s.builder = asyncgraph.NewBuilder(cfg.graph)
+		graph := asyncgraph.DefaultConfig()
+		graph.DebugStacks = cfg.debugStacks
+		s.builder = asyncgraph.NewBuilder(graph)
 		s.analyzer = detect.NewAnalyzer(s.builder, cfg.det)
 		// Order matters: the builder must see each event first so the
 		// analyzer can annotate the nodes it creates.
@@ -295,10 +265,10 @@ func New(opts ...Option) *Session {
 		s.loop.Probes().Attach(s.exporter)
 	}
 	if cfg.metricsOn {
-		s.metrics = trace.NewMetrics(s.loop, trace.MetricsConfig{})
+		s.metrics = trace.NewMetrics(s.loop)
 		s.loop.Probes().Attach(s.metrics)
 	}
-	s.ctx = newContext(s.loop, cfg.network, cfg.db)
+	s.ctx = &Context{loop: s.loop}
 	return s
 }
 

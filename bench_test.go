@@ -31,10 +31,8 @@ import (
 	"asyncg/internal/explore"
 	"asyncg/internal/loc"
 	"asyncg/internal/mongosim"
-	"asyncg/internal/netio"
 	"asyncg/internal/promise"
 	"asyncg/internal/vm"
-	"asyncg/internal/workload"
 )
 
 // benchLoad is the per-iteration AcmeAir workload for Fig. 6 benches.
@@ -75,7 +73,7 @@ func BenchmarkFig6bAPIUsage(b *testing.B) {
 	var row experiments.Fig6bRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		row, err = experiments.RunFig6b(load)
+		row, _, err = experiments.RunFig6b(load)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,27 +127,12 @@ func BenchmarkGraphConstruction(b *testing.B) {
 
 // --- Ablations -------------------------------------------------------
 
-// runAcmeAir executes the AcmeAir workload on a loop prepared by setup.
+// runAcmeAir executes the Fig. 6 AcmeAir run per iteration, with setup
+// attaching the configuration under test to each fresh loop.
 func runAcmeAir(b *testing.B, load experiments.LoadSpec, setup func(l *eventloop.Loop)) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		loop := eventloop.New(eventloop.Options{TickLimit: 100_000_000})
-		setup(loop)
-		net := netio.New(loop, netio.Options{})
-		db := mongosim.New(loop, mongosim.Options{})
-		acmeair.LoadSampleData(db, load.Data)
-		app := acmeair.New(loop, net, db, acmeair.Config{UsePromises: true})
-		driver := workload.NewDriver(net, workload.Options{
-			Port: app.Port(), Clients: load.Clients, Requests: load.Requests, Seed: load.Seed,
-		})
-		main := vm.NewFunc("benchMain", func([]vm.Value) vm.Value {
-			if err := app.Listen(loc.Here()); err != nil {
-				panic(err)
-			}
-			driver.Start()
-			return vm.Undefined
-		})
-		if err := loop.Run(main); err != nil {
+		if _, _, err := experiments.RunAcmeAir(load, setup); err != nil {
 			b.Fatal(err)
 		}
 	}

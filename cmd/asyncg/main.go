@@ -14,6 +14,11 @@
 //	asyncg -case fig4 -metrics         print the observability metrics report
 //	asyncg -table1                     run all Table I cases and summarize
 //	asyncg -table2                     print the related-work matrix
+//	asyncg fig6                        regenerate Fig. 6(a) and 6(b)
+//	asyncg fig6 -fig 6b -metrics       Fig. 6(b) plus the metrics report
+//	asyncg viz graph.json > graph.dot  render a dumped graph log as DOT
+//	asyncg -case fig4 -json /dev/stdout | asyncg viz -svg - > fig5.svg
+//	                                   ... or as a standalone SVG
 //	asyncg explore -case SO-17894000   explore the case's schedule space
 //	asyncg explore -case SO-17894000 -replay <token>
 //	                                   replay one recorded schedule
@@ -38,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"asyncg"
@@ -59,6 +65,10 @@ func main() {
 			os.Exit(runServe(os.Args[2:]))
 		case "fleet":
 			os.Exit(runFleet(os.Args[2:]))
+		case "fig6":
+			os.Exit(runFig6(os.Args[2:]))
+		case "viz":
+			os.Exit(runViz(os.Args[2:]))
 		}
 	}
 	var (
@@ -106,7 +116,7 @@ func main() {
 
 // dumpAllCases reproduces the artifact's runExamples.sh: every case is
 // executed under AsyncG and its graph log is written in all three
-// formats, ready for agviz or the original website.
+// formats, ready for asyncg viz or the original website.
 func dumpAllCases(dir string) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -115,13 +125,13 @@ func dumpAllCases(dir string) {
 	for _, c := range casestudy.All() {
 		res := casestudy.RunBuggy(c)
 		base := dir + "/" + c.ID
-		writeFile(base+".json", func(f *os.File) error {
+		writeFile(os.Stdout, base+".json", func(f *os.File) error {
 			return res.Report.Graph.WriteJSON(f)
 		})
-		writeFile(base+".dot", func(f *os.File) error {
+		writeFile(os.Stdout, base+".dot", func(f *os.File) error {
 			return res.Report.Graph.WriteDOT(f, c.ID)
 		})
-		writeFile(base+".svg", func(f *os.File) error {
+		writeFile(os.Stdout, base+".svg", func(f *os.File) error {
 			return res.Report.Graph.WriteSVG(f, c.ID+" — "+c.Title)
 		})
 	}
@@ -156,6 +166,7 @@ func runCase(id string, fixed bool, dotOut, jsonOut, svgOut string, timeline boo
 		fmt.Fprintf(os.Stderr, "unknown case %q (try -list)\n", id)
 		os.Exit(exitUsage)
 	}
+	out := reportStream(dotOut, jsonOut, svgOut, traceOut)
 	// Observability options ride along into the case's session.
 	var extra []asyncg.Option
 	var traceFile *os.File
@@ -186,59 +197,80 @@ func runCase(id string, fixed bool, dotOut, jsonOut, svgOut string, timeline boo
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(exitUsage)
 		}
-		fmt.Printf("wrote %s\n", traceOut)
+		fmt.Fprintf(out, "wrote %s\n", traceOut)
 	}
-	fmt.Printf("%s — %s\n", c.ID, c.Title)
-	fmt.Printf("ticks: %d, graph: %d nodes / %d edges / %d ticks\n",
+	fmt.Fprintf(out, "%s — %s\n", c.ID, c.Title)
+	fmt.Fprintf(out, "ticks: %d, graph: %d nodes / %d edges / %d ticks\n",
 		res.Report.Ticks, len(res.Report.Graph.Nodes), len(res.Report.Graph.Edges), len(res.Report.Graph.Ticks))
 	if res.Err != nil {
-		fmt.Printf("run stopped: %v (expected for starvation bugs)\n", res.Err)
+		fmt.Fprintf(out, "run stopped: %v (expected for starvation bugs)\n", res.Err)
 	}
 	for _, u := range res.Report.Uncaught {
-		fmt.Printf("uncaught exception in %s tick: %v\n", u.Phase, u.Thrown.Error())
+		fmt.Fprintf(out, "uncaught exception in %s tick: %v\n", u.Phase, u.Thrown.Error())
 	}
 	if len(res.Report.Warnings) == 0 {
-		fmt.Println("no warnings")
+		fmt.Fprintln(out, "no warnings")
 	}
 	for _, w := range res.Report.Warnings {
-		fmt.Printf("⚡ %s\n", w)
+		fmt.Fprintf(out, "⚡ %s\n", w)
 	}
 	if metrics && res.Report.Metrics != nil {
-		fmt.Println()
-		if err := res.Report.Metrics.WriteText(os.Stdout); err != nil {
+		fmt.Fprintln(out)
+		if err := res.Report.Metrics.WriteText(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	graph := res.Report.Graph
 	if maxTicks > 0 {
 		graph = graph.TickRange(1, maxTicks)
-		fmt.Printf("(exports restricted to the first %d ticks)\n", maxTicks)
+		fmt.Fprintf(out, "(exports restricted to the first %d ticks)\n", maxTicks)
 	}
 	if timeline {
-		fmt.Println()
-		if err := graph.WriteTimeline(os.Stdout); err != nil {
+		fmt.Fprintln(out)
+		if err := graph.WriteTimeline(out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 	}
 	if dotOut != "" {
-		writeFile(dotOut, func(f *os.File) error {
+		writeFile(out, dotOut, func(f *os.File) error {
 			return graph.WriteDOT(f, c.ID)
 		})
 	}
 	if jsonOut != "" {
-		writeFile(jsonOut, func(f *os.File) error {
+		writeFile(out, jsonOut, func(f *os.File) error {
 			return graph.WriteJSON(f)
 		})
 	}
 	if svgOut != "" {
-		writeFile(svgOut, func(f *os.File) error {
+		writeFile(out, svgOut, func(f *os.File) error {
 			return graph.WriteSVG(f, c.ID)
 		})
 	}
 }
 
-func writeFile(path string, write func(*os.File) error) {
+// reportStream picks where runCase prints its human-readable report:
+// stdout, unless one of the export paths is stdout itself (as in
+// `asyncg -case fig4 -json /dev/stdout | asyncg viz -`), in which case
+// the report moves to stderr so the export stays parseable.
+func reportStream(paths ...string) *os.File {
+	stdout, err := os.Stdout.Stat()
+	if err != nil {
+		return os.Stdout
+	}
+	for _, p := range paths {
+		if p == "" {
+			continue
+		}
+		if fi, err := os.Stat(p); err == nil && os.SameFile(fi, stdout) {
+			return os.Stderr
+		}
+	}
+	return os.Stdout
+}
+
+// writeFile creates path, fills it with write, and logs it to log.
+func writeFile(log io.Writer, path string, write func(*os.File) error) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -249,5 +281,5 @@ func writeFile(path string, write func(*os.File) error) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(exitUsage)
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(log, "wrote %s\n", path)
 }

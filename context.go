@@ -47,16 +47,10 @@ type (
 // events/promise modules, and the net/http/db libraries. Every method
 // captures its caller's source location for the Async Graph.
 type Context struct {
-	loop    *eventloop.Loop
-	net     *netio.Network
-	db      *mongosim.DB
-	fs      *fssim.FS
-	netOpts netio.Options
-	dbOpts  mongosim.Options
-}
-
-func newContext(l *eventloop.Loop, netOpts netio.Options, dbOpts mongosim.Options) *Context {
-	return &Context{loop: l, netOpts: netOpts, dbOpts: dbOpts}
+	loop *eventloop.Loop
+	net  *netio.Network
+	db   *mongosim.DB
+	fs   *fssim.FS
 }
 
 // Loop exposes the underlying event loop.
@@ -222,7 +216,7 @@ func (c *Context) Await(aw *Awaiter, p *Promise) Value {
 // Net returns the session's simulated network, creating it on first use.
 func (c *Context) Net() *netio.Network {
 	if c.net == nil {
-		c.net = netio.New(c.loop, c.netOpts)
+		c.net = netio.New(c.loop, netio.Options{})
 	}
 	return c.net
 }
@@ -253,7 +247,7 @@ func (c *Context) HTTPGet(port int, path string, onResponse *Function) *httpsim.
 // DB returns the session's simulated database, creating it on first use.
 func (c *Context) DB() *DB {
 	if c.db == nil {
-		c.db = mongosim.New(c.loop, c.dbOpts)
+		c.db = mongosim.New(c.loop, mongosim.Options{})
 	}
 	return c.db
 }

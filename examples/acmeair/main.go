@@ -1,7 +1,9 @@
 // Acmeair: boot the reproduced AcmeAir flight-booking service on the
 // simulated runtime, drive it with the JMeter-substitute workload, and
 // print the throughput and per-operation statistics plus the async-API
-// usage profile — a miniature of the paper's §VII-B evaluation setup.
+// usage profile — a miniature of the paper's §VII-B evaluation setup,
+// assembled by the same harness as Fig. 6 (experiments.RunAcmeAir) with
+// the metrics registry attached.
 //
 //	go run ./examples/acmeair
 package main
@@ -13,46 +15,24 @@ import (
 
 	"asyncg/internal/acmeair"
 	"asyncg/internal/eventloop"
-	"asyncg/internal/instrument"
-	"asyncg/internal/loc"
-	"asyncg/internal/mongosim"
-	"asyncg/internal/netio"
-	"asyncg/internal/vm"
-	"asyncg/internal/workload"
+	"asyncg/internal/experiments"
+	"asyncg/internal/trace"
 )
 
 func main() {
-	const requests = 1000
-	loop := eventloop.New(eventloop.Options{TickLimit: 50_000_000})
-	counter := instrument.NewCounter()
-	loop.Probes().Attach(counter)
-
-	net := netio.New(loop, netio.Options{})
-	db := mongosim.New(loop, mongosim.Options{})
-	acmeair.LoadSampleData(db, acmeair.DefaultDataSpec())
-	app := acmeair.New(loop, net, db, acmeair.Config{UsePromises: true})
-	driver := workload.NewDriver(net, workload.Options{
-		Port:     app.Port(),
-		Clients:  16,
-		Requests: requests,
-		Seed:     1,
+	load := experiments.LoadSpec{Requests: 1000, Clients: 16, Seed: 1, Data: acmeair.DefaultDataSpec()}
+	var loop *eventloop.Loop
+	var metrics *trace.Metrics
+	stats, elapsed, err := experiments.RunAcmeAir(load, func(l *eventloop.Loop) {
+		loop = l
+		metrics = trace.NewMetrics(l)
+		l.Probes().Attach(metrics)
 	})
-
-	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
-		if err := app.Listen(loc.Here()); err != nil {
-			panic(err)
-		}
-		driver.Start()
-		return vm.Undefined
-	})
-	start := time.Now()
-	if err := loop.Run(main); err != nil {
+	if err != nil {
 		fmt.Println("run error:", err)
 		return
 	}
-	elapsed := time.Since(start)
 
-	stats := driver.Stats()
 	fmt.Printf("AcmeAir served %d requests (%d failed) in %v wall / %v virtual\n",
 		stats.Completed, stats.Failed, elapsed.Round(time.Millisecond), loop.Now().Round(time.Millisecond))
 	fmt.Printf("throughput: %.0f requests/second (wall clock)\n\n",
@@ -68,25 +48,27 @@ func main() {
 		fmt.Printf("  %-16s %5d\n", op, stats.ByOp[op])
 	}
 
-	n := float64(stats.Completed)
+	snapshot := metrics.Snapshot()
+	row := experiments.Fig6bFrom(snapshot, stats.Completed)
 	fmt.Printf("\nasync-API executions per request (Fig. 6(b) measurement):\n")
-	fmt.Printf("  nextTick %.2f   emitter %.2f   promise %.2f\n",
-		float64(counter.NextTick)/n, float64(counter.Emitter)/n, float64(counter.Promise)/n)
+	fmt.Printf("  nextTick %.2f   emitter %.2f   promise %.2f\n", row.NextTick, row.Emitter, row.Promise)
 
 	fmt.Println("\nbusiest callback-dispatching APIs:")
-	type kv struct {
-		api string
-		n   int64
+	apis := make([]string, 0, len(snapshot.PerAPI))
+	for api := range snapshot.PerAPI {
+		apis = append(apis, api)
 	}
-	var top []kv
-	for api, count := range counter.ByAPI {
-		top = append(top, kv{api, count})
-	}
-	sort.Slice(top, func(i, j int) bool { return top[i].n > top[j].n })
-	for i, e := range top {
+	sort.Slice(apis, func(i, j int) bool {
+		a, b := snapshot.PerAPI[apis[i]].Count, snapshot.PerAPI[apis[j]].Count
+		if a != b {
+			return a > b
+		}
+		return apis[i] < apis[j]
+	})
+	for i, api := range apis {
 		if i == 8 {
 			break
 		}
-		fmt.Printf("  %-28s %7d\n", e.api, e.n)
+		fmt.Printf("  %-28s %7d\n", api, snapshot.PerAPI[api].Count)
 	}
 }

@@ -21,7 +21,7 @@ func TestDOTCanonicalOrder(t *testing.T) {
 }
 
 // TestDOTStableAcrossJSONRoundtrip: a graph written to the JSON log
-// format and read back renders to the identical DOT bytes, so agviz
+// format and read back renders to the identical DOT bytes, so asyncg viz
 // output of a dumped log matches asyncg -dot of the live run.
 func TestDOTStableAcrossJSONRoundtrip(t *testing.T) {
 	g := fpGraph([]int{2, 0, 1})

@@ -2,6 +2,7 @@ package asyncgraph
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 
@@ -57,44 +58,66 @@ type jsonWarning struct {
 
 // ReadJSON parses a graph previously serialized with WriteJSON — the
 // upload path of the paper's visualization website: AsyncG dumps a log,
-// the viewer reconstructs and renders the graph.
+// the viewer reconstructs and renders the graph. It fails closed: a log
+// whose node ids are not their positions, whose node or edge kinds are
+// unknown, or whose edges, ticks or warnings name a node that does not
+// exist is rejected with an error, so every accepted graph renders.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var in jsonGraph
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, err
 	}
+	n := len(in.Nodes)
+	inRange := func(id int) bool { return id >= 0 && id < n }
 	g := NewGraph()
-	kinds := map[string]NodeKind{"CR": CR, "CE": CE, "CT": CT, "OB": OB}
-	for _, jn := range in.Nodes {
-		n := &Node{
-			Kind:     kinds[jn.Kind],
-			Tick:     jn.Tick,
-			Loc:      loc.Parse(jn.Loc),
-			API:      jn.API,
-			Event:    jn.Event,
-			Label:    jn.Label,
-			Func:     jn.Func,
-			Obj:      objRefFor(jn.Obj, jn.API),
-			Removed:  jn.Removed,
-			Warnings: jn.Warnings,
-			ValueStr: jn.Value,
-			Stack:    jn.Stack,
+	for i, jn := range in.Nodes {
+		if jn.ID != i {
+			return nil, fmt.Errorf("asyncgraph: node %d has id %d", i, jn.ID)
 		}
-		n.Executions = jn.Execs
-		g.addNode(n)
+		kind, ok := nodeKinds[jn.Kind]
+		if !ok {
+			return nil, fmt.Errorf("asyncgraph: node %d: unknown kind %q", i, jn.Kind)
+		}
+		g.addNode(&Node{
+			Kind:       kind,
+			Tick:       jn.Tick,
+			Loc:        loc.Parse(jn.Loc),
+			API:        jn.API,
+			Event:      jn.Event,
+			Label:      jn.Label,
+			Func:       jn.Func,
+			Obj:        objRefFor(jn.Obj, jn.API),
+			Executions: jn.Execs,
+			Removed:    jn.Removed,
+			Warnings:   jn.Warnings,
+			ValueStr:   jn.Value,
+			Stack:      jn.Stack,
+		})
 	}
-	kindNames := map[string]EdgeKind{"direct": EdgeDirect, "binding": EdgeBinding, "relation": EdgeRelation}
-	for _, je := range in.Edges {
-		g.AddEdge(NodeID(je.From), NodeID(je.To), kindNames[je.Kind], je.Label)
+	for i, je := range in.Edges {
+		kind, ok := edgeKinds[je.Kind]
+		if !ok {
+			return nil, fmt.Errorf("asyncgraph: edge %d: unknown kind %q", i, je.Kind)
+		}
+		if !inRange(je.From) || !inRange(je.To) {
+			return nil, fmt.Errorf("asyncgraph: edge %d: %d -> %d names a node outside [0, %d)", i, je.From, je.To, n)
+		}
+		g.AddEdge(NodeID(je.From), NodeID(je.To), kind, je.Label)
 	}
-	for _, jt := range in.Ticks {
+	for i, jt := range in.Ticks {
 		t := &Tick{Index: jt.Index, Phase: jt.Phase}
 		for _, id := range jt.Nodes {
+			if !inRange(id) {
+				return nil, fmt.Errorf("asyncgraph: tick %d: node %d outside [0, %d)", i, id, n)
+			}
 			t.Nodes = append(t.Nodes, NodeID(id))
 		}
 		g.Ticks = append(g.Ticks, t)
 	}
-	for _, jw := range in.Warnings {
+	for i, jw := range in.Warnings {
+		if jw.Node != int(NoNode) && !inRange(jw.Node) {
+			return nil, fmt.Errorf("asyncgraph: warning %d: node %d is neither %d nor in [0, %d)", i, jw.Node, NoNode, n)
+		}
 		g.Warnings = append(g.Warnings, Warning{
 			Category: Category(jw.Category),
 			Message:  jw.Message,
@@ -104,6 +127,12 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// nodeKinds and edgeKinds invert NodeKind.String and EdgeKind.String.
+var (
+	nodeKinds = map[string]NodeKind{"CR": CR, "CE": CE, "CT": CT, "OB": OB}
+	edgeKinds = map[string]EdgeKind{"direct": EdgeDirect, "binding": EdgeBinding, "relation": EdgeRelation}
+)
 
 // objRefFor reconstructs enough object identity for graph queries; the
 // original ObjKind is recovered from the node's API family.

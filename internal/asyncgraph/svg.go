@@ -3,6 +3,7 @@ package asyncgraph
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 )
 
@@ -105,9 +106,14 @@ func (g *Graph) WriteSVG(w io.Writer, title string) error {
 		}
 	}
 
-	// Nodes.
-	for id, p := range pos {
-		n := g.Node(id)
+	// Nodes, in id order so equal graphs render to equal bytes.
+	ids := make([]NodeID, 0, len(pos))
+	for id := range pos {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		n, p := g.Node(id), pos[id]
 		stroke := "#222"
 		if len(n.Warnings) > 0 {
 			stroke = "#c00"

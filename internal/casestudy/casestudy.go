@@ -107,23 +107,17 @@ func ByID(id string) (Case, bool) {
 	return Case{}, false
 }
 
-// session creates the analysis session for a case; extra options (e.g.
-// asyncg.WithTrace, asyncg.WithMetrics from the CLI) ride along.
-func session(c Case, extra ...asyncg.Option) *asyncg.Session {
+// SessionFor creates the analysis session a case runs under: the case's
+// tick limit plus the caller's extra options (e.g. asyncg.WithTrace,
+// asyncg.WithMetrics from the CLI). Exported so reusable runners can
+// construct the session once and Reset it between runs.
+func SessionFor(c Case, extra ...asyncg.Option) *asyncg.Session {
 	limit := c.TickLimit
 	if limit == 0 {
 		limit = 500
 	}
 	opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: limit})}, extra...)
 	return asyncg.New(opts...)
-}
-
-// SessionFor creates the analysis session a case runs under — the same
-// configuration RunBuggy and RunFixed build internally (the case's tick
-// limit plus the caller's extra options). Exported so reusable runners
-// can construct the session once and Reset it between runs.
-func SessionFor(c Case, extra ...asyncg.Option) *asyncg.Session {
-	return session(c, extra...)
 }
 
 // SessionRunner executes one version of a case repeatedly on a reusable
@@ -133,8 +127,8 @@ func SessionFor(c Case, extra ...asyncg.Option) *asyncg.Session {
 // per-run options (scheduler, context) are re-applied through
 // asyncg.Session.Apply while structural options stay fixed at the first
 // call. Manual graph queries (Case.Manual) are appended to the buggy
-// report exactly as RunBuggy does, so a reused runner's report is
-// byte-identical to a one-shot run's.
+// report, so a reused runner's report is byte-identical to a one-shot
+// run's; RunBuggy and RunFixed are such one-shot runs.
 type SessionRunner struct {
 	c       Case
 	program func(ctx *asyncg.Context)
@@ -143,9 +137,9 @@ type SessionRunner struct {
 }
 
 // NewRunner creates a reusable runner for the case's buggy or fixed
-// version. The fixed version of a case without one runs an empty program
-// (mirroring RunFixed's no-op result path is the caller's concern;
-// explore targets reject such cases before constructing runners).
+// version. Running the fixed version of a case without one does nothing
+// and returns a nil report (explore targets reject such cases before
+// constructing runners).
 func NewRunner(c Case, fixed bool) *SessionRunner {
 	r := &SessionRunner{c: c, program: c.Buggy}
 	if fixed {
@@ -160,11 +154,11 @@ func NewRunner(c Case, fixed bool) *SessionRunner {
 // or Reset since the previous Run.
 func (r *SessionRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 	if r.program == nil {
-		// Fixed version of a case without one: mirror RunFixed's no-op.
+		// Fixed version of a case without one.
 		return nil, nil
 	}
 	if r.session == nil {
-		r.session = session(r.c, extra...)
+		r.session = SessionFor(r.c, extra...)
 	} else {
 		r.session.Apply(extra...)
 	}
@@ -186,10 +180,7 @@ func (r *SessionRunner) Reset() {
 // RunBuggy executes the buggy program under AsyncG and checks the
 // expected categories.
 func RunBuggy(c Case, extra ...asyncg.Option) Result {
-	report, err := session(c, extra...).Run(c.Buggy)
-	if c.Manual != nil {
-		report.Warnings = append(report.Warnings, c.Manual(report)...)
-	}
+	report, err := NewRunner(c, false).Run(extra...)
 	res := Result{Case: c, Report: report, Err: err}
 	for _, cat := range c.Expect {
 		if report.HasWarning(cat) {
@@ -204,11 +195,11 @@ func RunBuggy(c Case, extra ...asyncg.Option) Result {
 // RunFixed executes the fixed program (when present) and checks that the
 // buggy categories are gone.
 func RunFixed(c Case, extra ...asyncg.Option) Result {
-	if c.Fixed == nil {
-		return Result{Case: c, Fixed: true}
-	}
-	report, err := session(c, extra...).Run(c.Fixed)
+	report, err := NewRunner(c, true).Run(extra...)
 	res := Result{Case: c, Report: report, Err: err, Fixed: true}
+	if report == nil {
+		return res
+	}
 	for _, cat := range c.Expect {
 		if report.HasWarning(cat) {
 			res.Leaked = append(res.Leaked, cat)

@@ -2,8 +2,9 @@
 // the AcmeAir overhead measurement of Fig. 6(a) — server throughput with
 // AsyncG disabled, tracking everything but promises, and tracking
 // everything — and the per-request async-API usage of Fig. 6(b), plus
-// the Table II capability matrix. The same entry points back the
-// regeneration binary (cmd/acmeair-bench) and the root bench suite.
+// the Table II capability matrix. One assembly (RunAcmeAir) backs every
+// Fig. 6 run; the same entry points back `asyncg fig6` and the root bench
+// suite.
 package experiments
 
 import (
@@ -75,32 +76,18 @@ type Fig6aRow struct {
 	GraphNodes int
 }
 
-// RunSetting executes one AcmeAir run under the given setting and
-// returns the measured row (Slowdown unset) plus the counter when one
-// was attached.
-func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
+// RunAcmeAir assembles one Fig. 6 AcmeAir run — event loop, network,
+// database loaded with load.Data, the promise-interface app and the
+// closed-loop workload driver — lets attach install probes on the loop
+// (nil attaches none), then listens, starts the driver and runs the loop
+// to completion. It returns the driver's statistics and the wall-clock
+// time of the loop run alone (assembly and data loading excluded); it is
+// an error for the run to complete fewer than load.Requests requests.
+func RunAcmeAir(load LoadSpec, attach func(*eventloop.Loop)) (workload.Stats, time.Duration, error) {
 	loop := eventloop.New(eventloop.Options{TickLimit: 100_000_000})
-	var b *asyncgraph.Builder
-	switch setting {
-	case Baseline:
-		// No hooks: probes cost one branch per site.
-	case NoPromise:
-		cfg := asyncgraph.DefaultConfig()
-		cfg.Promises = false
-		cfg.ChainAnalysis = false
-		b = asyncgraph.NewBuilder(cfg)
-		d := detect.DefaultConfig()
-		d.Promises = false
-		loop.Probes().Attach(b)
-		loop.Probes().Attach(detect.NewAnalyzer(b, d))
-	case WithPromise:
-		b = asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
-		loop.Probes().Attach(b)
-		loop.Probes().Attach(detect.NewAnalyzer(b, detect.DefaultConfig()))
-	default:
-		return Fig6aRow{}, fmt.Errorf("experiments: unknown setting %q", setting)
+	if attach != nil {
+		attach(loop)
 	}
-
 	net := netio.New(loop, netio.Options{})
 	db := mongosim.New(loop, mongosim.Options{})
 	acmeair.LoadSampleData(db, load.Data)
@@ -119,14 +106,50 @@ func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 		return vm.Undefined
 	})
 	start := time.Now()
-	if err := loop.Run(main); err != nil {
-		return Fig6aRow{}, fmt.Errorf("experiments: %s run: %w", setting, err)
-	}
+	err := loop.Run(main)
 	elapsed := time.Since(start)
 	stats := driver.Stats()
+	if err != nil {
+		return stats, elapsed, fmt.Errorf("experiments: AcmeAir run: %w", err)
+	}
 	if stats.Completed != load.Requests {
-		return Fig6aRow{}, fmt.Errorf("experiments: %s completed %d/%d requests",
-			setting, stats.Completed, load.Requests)
+		return stats, elapsed, fmt.Errorf("experiments: AcmeAir completed %d/%d requests",
+			stats.Completed, load.Requests)
+	}
+	return stats, elapsed, nil
+}
+
+// RunSetting executes one AcmeAir run under the given setting and
+// returns the measured row (Slowdown unset).
+func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
+	var attach func(*eventloop.Loop)
+	var b *asyncgraph.Builder
+	switch setting {
+	case Baseline:
+		// No hooks: probes cost one branch per site.
+	case NoPromise:
+		cfg := asyncgraph.DefaultConfig()
+		cfg.Promises = false
+		cfg.ChainAnalysis = false
+		b = asyncgraph.NewBuilder(cfg)
+		d := detect.DefaultConfig()
+		d.Promises = false
+		attach = func(l *eventloop.Loop) {
+			l.Probes().Attach(b)
+			l.Probes().Attach(detect.NewAnalyzer(b, d))
+		}
+	case WithPromise:
+		b = asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
+		attach = func(l *eventloop.Loop) {
+			l.Probes().Attach(b)
+			l.Probes().Attach(detect.NewAnalyzer(b, detect.DefaultConfig()))
+		}
+	default:
+		return Fig6aRow{}, fmt.Errorf("experiments: unknown setting %q", setting)
+	}
+	stats, elapsed, err := RunAcmeAir(load, attach)
+	if err != nil {
+		return Fig6aRow{}, fmt.Errorf("%s setting: %w", setting, err)
 	}
 	row := Fig6aRow{
 		Setting:    setting,
@@ -171,54 +194,44 @@ type Fig6bRow struct {
 	Promise  float64 // (paper: 1.31)
 }
 
-// RunFig6b drives AcmeAir with the usage counter attached.
-func RunFig6b(load LoadSpec) (Fig6bRow, error) {
-	row, _, _, err := RunFig6bDetailed(load)
-	return row, err
+// RunFig6b drives AcmeAir with the metrics registry attached and
+// derives the Fig. 6(b) row from its per-API execution counts; the
+// snapshot is returned too, for the full metrics report.
+func RunFig6b(load LoadSpec) (Fig6bRow, *trace.Snapshot, error) {
+	var metrics *trace.Metrics
+	stats, _, err := RunAcmeAir(load, func(l *eventloop.Loop) {
+		metrics = trace.NewMetrics(l)
+		l.Probes().Attach(metrics)
+	})
+	if err != nil {
+		return Fig6bRow{}, nil, err
+	}
+	snapshot := metrics.Snapshot()
+	return Fig6bFrom(snapshot, stats.Completed), snapshot, nil
 }
 
-// RunFig6bDetailed drives AcmeAir with both the Fig. 6(b) usage counter
-// and the trace metrics registry attached, returning the row plus the
-// snapshot and the raw counter so callers can cross-validate the two
-// measurement paths (their per-API execution counts must agree exactly)
-// or print the full metrics report next to the figure.
-func RunFig6bDetailed(load LoadSpec) (Fig6bRow, *trace.Snapshot, *instrument.Counter, error) {
-	loop := eventloop.New(eventloop.Options{TickLimit: 100_000_000})
-	counter := instrument.NewCounter()
-	loop.Probes().Attach(counter)
-	metrics := trace.NewMetrics(loop, trace.MetricsConfig{})
-	loop.Probes().Attach(metrics)
-	net := netio.New(loop, netio.Options{})
-	db := mongosim.New(loop, mongosim.Options{})
-	acmeair.LoadSampleData(db, load.Data)
-	app := acmeair.New(loop, net, db, acmeair.Config{UsePromises: true})
-	driver := workload.NewDriver(net, workload.Options{
-		Port:     app.Port(),
-		Clients:  load.Clients,
-		Requests: load.Requests,
-		Seed:     load.Seed,
-	})
-	main := vm.NewFuncAt("benchMain", locHere(), func([]vm.Value) vm.Value {
-		if err := app.Listen(locHere()); err != nil {
-			panic(err)
+// Fig6bFrom derives the Fig. 6(b) row from the metrics snapshot of a run
+// that completed the given number of client requests: the snapshot's
+// per-API execution counts summed into the paper's three categories.
+func Fig6bFrom(s *trace.Snapshot, requests int) Fig6bRow {
+	var nextTick, emitter, promise int64
+	for api, st := range s.PerAPI {
+		switch {
+		case instrument.IsNextTick(api):
+			nextTick += st.Count
+		case instrument.Categorize(api) == instrument.CatEmitter:
+			emitter += st.Count
+		case instrument.Categorize(api) == instrument.CatPromise:
+			promise += st.Count
 		}
-		driver.Start()
-		return vm.Undefined
-	})
-	if err := loop.Run(main); err != nil {
-		return Fig6bRow{}, nil, nil, err
 	}
-	n := float64(driver.Stats().Completed)
-	if n == 0 {
-		return Fig6bRow{}, nil, nil, fmt.Errorf("experiments: no requests completed")
+	n := float64(requests)
+	return Fig6bRow{
+		Requests: requests,
+		NextTick: float64(nextTick) / n,
+		Emitter:  float64(emitter) / n,
+		Promise:  float64(promise) / n,
 	}
-	row := Fig6bRow{
-		Requests: driver.Stats().Completed,
-		NextTick: float64(counter.NextTick) / n,
-		Emitter:  float64(counter.Emitter) / n,
-		Promise:  float64(counter.Promise) / n,
-	}
-	return row, metrics.Snapshot(), counter, nil
 }
 
 // WriteFig6a renders the Fig. 6(a) rows as the harness's table.

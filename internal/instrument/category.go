@@ -1,9 +1,8 @@
-// Package instrument provides the tool-side building blocks shared by
-// the Async Graph builder and the bug detectors: classification of async
-// APIs into the paper's categories (the per-API "templates" of Algorithm
-// 2 — which argument is the callback, where it is scheduled, and whether
-// it fires once are carried by the probe protocol itself), lightweight
-// API-usage counters (Fig. 6(b)), and an event tracer.
+// Package instrument classifies async APIs into the paper's categories —
+// the per-API "templates" of Algorithm 2 (which argument is the callback,
+// where it is scheduled, and whether it fires once are carried by the
+// probe protocol itself). The Async Graph builder, the race detector and
+// the Fig. 6(b) tally over trace.Metrics' per-API counts all share it.
 package instrument
 
 import "strings"

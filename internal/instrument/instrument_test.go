@@ -1,16 +1,6 @@
 package instrument
 
-import (
-	"strings"
-	"testing"
-	"time"
-
-	"asyncg/internal/eventloop"
-	"asyncg/internal/events"
-	"asyncg/internal/loc"
-	"asyncg/internal/promise"
-	"asyncg/internal/vm"
-)
+import "testing"
 
 func TestCategorize(t *testing.T) {
 	cases := []struct {
@@ -52,98 +42,6 @@ func TestCategoryStrings(t *testing.T) {
 	} {
 		if cat.String() != want {
 			t.Errorf("%v.String() = %q", int(cat), cat.String())
-		}
-	}
-}
-
-// run executes a program with the given hooks attached.
-func run(t *testing.T, hooks vm.Hooks, program func(l *eventloop.Loop)) {
-	t.Helper()
-	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
-	l.Probes().Attach(hooks)
-	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
-		program(l)
-		return vm.Undefined
-	})
-	if err := l.Run(main); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterCountsByCategory(t *testing.T) {
-	c := NewCounter()
-	run(t, c, func(l *eventloop.Loop) {
-		l.NextTick(loc.Here(), vm.NewFunc("t", func([]vm.Value) vm.Value { return vm.Undefined }))
-		l.NextTick(loc.Here(), vm.NewFunc("t2", func([]vm.Value) vm.Value { return vm.Undefined }))
-		e := events.New(l, "e", loc.Here())
-		e.On(loc.Here(), "x", vm.NewFunc("h", func([]vm.Value) vm.Value { return vm.Undefined }))
-		e.Emit(loc.Here(), "x")
-		p := promise.Resolved(l, loc.Here(), 1)
-		p.Then(loc.Here(), vm.NewFunc("r", func(args []vm.Value) vm.Value { return vm.Undefined }), nil).
-			Catch(loc.Here(), vm.NewFunc("c", func(args []vm.Value) vm.Value { return vm.Undefined }))
-	})
-	if c.NextTick != 2 {
-		t.Errorf("NextTick = %d, want 2", c.NextTick)
-	}
-	if c.Emitter != 1 {
-		t.Errorf("Emitter = %d, want 1", c.Emitter)
-	}
-	if c.Promise != 1 { // the then handler; the catch slot is a passthrough
-		t.Errorf("Promise = %d, want 1", c.Promise)
-	}
-	if c.ByAPI["process.nextTick"] != 2 {
-		t.Errorf("ByAPI = %v", c.ByAPI)
-	}
-	if c.APICalls == 0 || c.Executions < 4 {
-		t.Errorf("APICalls=%d Executions=%d", c.APICalls, c.Executions)
-	}
-}
-
-func TestCounterSkipsClientZone(t *testing.T) {
-	c := NewCounter()
-	run(t, c, func(l *eventloop.Loop) {
-		e := events.New(l, "client-side", loc.Here())
-		e.SetZone("client")
-		e.On(loc.Here(), "x", vm.NewFunc("h", func([]vm.Value) vm.Value { return vm.Undefined }))
-		e.Emit(loc.Here(), "x")
-	})
-	if c.Emitter != 0 {
-		t.Fatalf("client-zone emitter executions counted: %d", c.Emitter)
-	}
-}
-
-func TestCounterReset(t *testing.T) {
-	c := NewCounter()
-	run(t, c, func(l *eventloop.Loop) {
-		l.NextTick(loc.Here(), vm.NewFunc("t", func([]vm.Value) vm.Value { return vm.Undefined }))
-	})
-	c.Reset()
-	if c.NextTick != 0 || c.Executions != 0 || len(c.ByAPI) != 0 {
-		t.Fatalf("reset incomplete: %+v", c)
-	}
-}
-
-func TestTracerOutput(t *testing.T) {
-	var sb strings.Builder
-	tr := NewTracer(&sb)
-	run(t, tr, func(l *eventloop.Loop) {
-		l.SetTimeout(loc.Here(), vm.NewFunc("timerCb", func([]vm.Value) vm.Value {
-			return vm.Undefined
-		}), time.Millisecond)
-		l.NextTick(loc.Here(), vm.NewFunc("boom", func([]vm.Value) vm.Value {
-			vm.Throw("traced-error")
-			return vm.Undefined
-		}))
-	})
-	out := sb.String()
-	for _, want := range []string{
-		"* setTimeout", "* process.nextTick",
-		"> timerCb", "via setTimeout",
-		"threw traced-error",
-		"[main]", "[timer]",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
 }

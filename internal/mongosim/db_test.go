@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"asyncg/internal/eventloop"
-	"asyncg/internal/instrument"
 	"asyncg/internal/loc"
 	"asyncg/internal/promise"
+	"asyncg/internal/trace"
 	"asyncg/internal/vm"
 )
 
@@ -250,8 +250,8 @@ func TestAwaitOnDBPromises(t *testing.T) {
 func TestDriverTicksGenerateNextTickActivity(t *testing.T) {
 	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
 	db := New(l, Options{DriverTicks: 3})
-	counter := instrument.NewCounter()
-	l.Probes().Attach(counter)
+	metrics := trace.NewMetrics(l)
+	l.Probes().Attach(metrics)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		db.C("x").Find(loc.Here(), ``, cb("f", func(err, res vm.Value) {}))
 		return vm.Undefined
@@ -259,8 +259,8 @@ func TestDriverTicksGenerateNextTickActivity(t *testing.T) {
 	if err := l.Run(main); err != nil {
 		t.Fatal(err)
 	}
-	if counter.NextTick != 3 {
-		t.Fatalf("driver nextTick executions = %d, want 3", counter.NextTick)
+	if got := metrics.Snapshot().PerAPI["process.nextTick"].Count; got != 3 {
+		t.Fatalf("driver nextTick executions = %d, want 3", got)
 	}
 }
 

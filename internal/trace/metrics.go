@@ -9,15 +9,6 @@ import (
 	"asyncg/internal/vm"
 )
 
-// MetricsConfig parameterizes a Metrics registry.
-type MetricsConfig struct {
-	// IncludeClientZone also counts callbacks of the simulated workload
-	// driver. Off by default: the paper's measurements run inside the
-	// server process, and the default keeps per-API counts identical to
-	// instrument.Counter (Fig. 6b).
-	IncludeClientZone bool
-}
-
 // PhaseStats aggregates the top-level callbacks of one loop phase.
 type PhaseStats struct {
 	// Ticks counts top-level callback executions in the phase.
@@ -152,7 +143,6 @@ type mframe struct {
 // every other consumer.
 type Metrics struct {
 	clock Clock
-	cfg   MetricsConfig
 
 	ticks      int64
 	executions int64
@@ -166,10 +156,9 @@ type Metrics struct {
 
 // NewMetrics creates a registry reading virtual time from clock
 // (normally the *eventloop.Loop it attaches to).
-func NewMetrics(clock Clock, cfg MetricsConfig) *Metrics {
+func NewMetrics(clock Clock) *Metrics {
 	return &Metrics{
 		clock:    clock,
-		cfg:      cfg,
 		perPhase: make(map[string]*PhaseStats),
 		perAPI:   make(map[string]*APIStats),
 	}
@@ -195,23 +184,19 @@ func (m *Metrics) Reset() {
 	m.stack = m.stack[:0]
 }
 
-// inScope mirrors instrument.Counter's population: dispatched callbacks
-// only, excluding the synthetic main tick, engine-internal promise
-// plumbing, and (by default) the client zone.
-func (m *Metrics) inScope(d *vm.Dispatch) bool {
-	if d == nil || d.API == "main" || d.API == "promise.passthrough" {
-		return false
-	}
-	if d.Zone == "client" && !m.cfg.IncludeClientZone {
-		return false
-	}
-	return true
+// inScope selects the Fig. 6(b) population: dispatched callbacks only,
+// excluding the synthetic main tick, engine-internal promise plumbing
+// (handler-less reaction slots, adoption), and the client zone — the
+// paper measures inside the server process, so the simulated workload
+// driver's callbacks are out of scope.
+func inScope(d *vm.Dispatch) bool {
+	return d != nil && d.API != "main" && d.API != "promise.passthrough" && d.Zone != "client"
 }
 
 // FunctionEnter implements eventloop.Probe.
 func (m *Metrics) FunctionEnter(fn *vm.Function, info *vm.CallInfo) {
 	f := mframe{start: m.clock.Now(), phase: info.Phase, topLevel: info.TopLevel}
-	if d := info.Dispatch; m.inScope(d) {
+	if d := info.Dispatch; inScope(d) {
 		f.counted = true
 		f.api = d.API
 		m.executions++

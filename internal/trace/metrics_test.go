@@ -2,39 +2,28 @@ package trace_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"asyncg/internal/eventloop"
+	"asyncg/internal/events"
+	"asyncg/internal/promise"
 	"asyncg/internal/trace"
 	"asyncg/internal/vm"
 )
 
-func runMetricsProgram(t *testing.T, cfg trace.MetricsConfig) *trace.Metrics {
+// runMetrics runs program as the main tick on a loop with a fresh
+// registry attached. The per-iteration charge is disabled so lag
+// arithmetic in the tests is exact.
+func runMetrics(t *testing.T, program func(loop *eventloop.Loop)) *trace.Metrics {
 	t.Helper()
-	// Disable the per-iteration charge so lag arithmetic below is exact.
 	loop := eventloop.New(eventloop.Options{IterationCost: -1})
-	m := trace.NewMetrics(loop, cfg)
+	m := trace.NewMetrics(loop)
 	loop.Probes().Attach(m)
-
 	main := vm.NewFuncAt("main", gl(1), func([]vm.Value) vm.Value {
-		for i := 0; i < 3; i++ {
-			loop.NextTick(gl(2), vm.NewFuncAt("tick", gl(2), func([]vm.Value) vm.Value {
-				loop.Work(100 * time.Microsecond)
-				return vm.Undefined
-			}))
-		}
-		loop.SetTimeout(gl(3), vm.NewFuncAt("t1", gl(3), func([]vm.Value) vm.Value {
-			loop.Work(4 * time.Millisecond) // delays the second timer: loop lag
-			return vm.Undefined
-		}), time.Millisecond)
-		loop.SetTimeout(gl(4), vm.NewFuncAt("t2", gl(4), func([]vm.Value) vm.Value {
-			return vm.Undefined
-		}), 2*time.Millisecond)
-		loop.SetImmediate(gl(5), vm.NewFuncAt("imm", gl(5), func([]vm.Value) vm.Value {
-			return vm.Undefined
-		}))
+		program(loop)
 		return vm.Undefined
 	})
 	if err := loop.Run(main); err != nil {
@@ -43,8 +32,29 @@ func runMetricsProgram(t *testing.T, cfg trace.MetricsConfig) *trace.Metrics {
 	return m
 }
 
+// timersProgram queues three 100µs ticks, two timers of which the first
+// delays the second, and an immediate.
+func timersProgram(loop *eventloop.Loop) {
+	for i := 0; i < 3; i++ {
+		loop.NextTick(gl(2), vm.NewFuncAt("tick", gl(2), func([]vm.Value) vm.Value {
+			loop.Work(100 * time.Microsecond)
+			return vm.Undefined
+		}))
+	}
+	loop.SetTimeout(gl(3), vm.NewFuncAt("t1", gl(3), func([]vm.Value) vm.Value {
+		loop.Work(4 * time.Millisecond) // delays the second timer: loop lag
+		return vm.Undefined
+	}), time.Millisecond)
+	loop.SetTimeout(gl(4), vm.NewFuncAt("t2", gl(4), func([]vm.Value) vm.Value {
+		return vm.Undefined
+	}), 2*time.Millisecond)
+	loop.SetImmediate(gl(5), vm.NewFuncAt("imm", gl(5), func([]vm.Value) vm.Value {
+		return vm.Undefined
+	}))
+}
+
 func TestMetricsSnapshot(t *testing.T) {
-	m := runMetricsProgram(t, trace.MetricsConfig{})
+	m := runMetrics(t, timersProgram)
 	s := m.Snapshot()
 
 	// 1 main + 3 ticks + 2 timers + 1 immediate top-level callbacks.
@@ -108,7 +118,7 @@ func TestMetricsSnapshot(t *testing.T) {
 }
 
 func TestMetricsSnapshotIsACopy(t *testing.T) {
-	m := runMetricsProgram(t, trace.MetricsConfig{})
+	m := runMetrics(t, timersProgram)
 	s1 := m.Snapshot()
 	s1.PerAPI["setTimeout"] = trace.APIStats{Count: 999}
 	s1.PerPhase["main"] = trace.PhaseStats{Ticks: 999}
@@ -119,7 +129,7 @@ func TestMetricsSnapshotIsACopy(t *testing.T) {
 }
 
 func TestMetricsWriteText(t *testing.T) {
-	m := runMetricsProgram(t, trace.MetricsConfig{})
+	m := runMetrics(t, timersProgram)
 	var buf bytes.Buffer
 	if err := m.Snapshot().WriteText(&buf); err != nil {
 		t.Fatal(err)
@@ -129,6 +139,76 @@ func TestMetricsWriteText(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("text report lacks %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestMetricsPopulation pins the population the per-API counts cover —
+// the Fig. 6(b) measurement: dispatched server-side callbacks, but not
+// the handler-less reaction slots the promise engine plumbs values
+// through, nor callbacks of the simulated client zone.
+func TestMetricsPopulation(t *testing.T) {
+	noop := func(name string) *vm.Function {
+		return vm.NewFunc(name, func([]vm.Value) vm.Value { return vm.Undefined })
+	}
+	cases := []struct {
+		name    string
+		program func(l *eventloop.Loop)
+		want    map[string]int64
+	}{{
+		// 2 nextTick / 1 emitter / 1 promise.
+		name: "by-category",
+		program: func(l *eventloop.Loop) {
+			l.NextTick(gl(2), noop("t"))
+			l.NextTick(gl(2), noop("t2"))
+			e := events.New(l, "e", gl(3))
+			e.On(gl(3), "x", noop("h"))
+			e.Emit(gl(3), "x")
+			promise.Resolved(l, gl(4), 1).Then(gl(4), noop("r"), nil).Catch(gl(4), noop("c"))
+		},
+		want: map[string]int64{"process.nextTick": 2, "emitter.on": 1, "promise.then": 1},
+	}, {
+		// A fulfilled chain runs the then handler; the catch reaction
+		// has no fulfillment handler, so its slot is a passthrough.
+		name: "then-counts-catch-slot-does-not",
+		program: func(l *eventloop.Loop) {
+			promise.Resolved(l, gl(2), 1).Then(gl(2), noop("r"), nil).Catch(gl(2), noop("c"))
+		},
+		want: map[string]int64{"promise.then": 1},
+	}, {
+		name: "client-zone-listener-does-not-count",
+		program: func(l *eventloop.Loop) {
+			e := events.New(l, "client-side", gl(2))
+			e.SetZone("client")
+			e.On(gl(2), "x", noop("h"))
+			e.Emit(gl(2), "x")
+		},
+		want: map[string]int64{},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := runMetrics(t, tc.program).Snapshot()
+			if got := s.APIExecutions(); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("per-API executions = %v, want %v", got, tc.want)
+			}
+			var total int64
+			for _, n := range tc.want {
+				total += n
+			}
+			if s.Executions != total {
+				t.Errorf("Executions = %d, want %d", s.Executions, total)
+			}
+		})
+	}
+}
+
+// TestMetricsReset checks that a reset registry reports exactly what a
+// fresh one does.
+func TestMetricsReset(t *testing.T) {
+	m := runMetrics(t, timersProgram)
+	m.Reset()
+	fresh := trace.NewMetrics(eventloop.New(eventloop.Options{}))
+	if got, want := m.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset snapshot = %+v, want %+v", got, want)
 	}
 }
 

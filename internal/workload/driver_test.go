@@ -11,6 +11,7 @@ import (
 	"asyncg/internal/loc"
 	"asyncg/internal/mongosim"
 	"asyncg/internal/netio"
+	"asyncg/internal/trace"
 	"asyncg/internal/vm"
 )
 
@@ -147,8 +148,8 @@ func TestFig6bStyleAPIUsageCounters(t *testing.T) {
 	db := mongosim.New(l, mongosim.Options{})
 	acmeair.LoadSampleData(db, acmeair.DataSpec{Customers: 20, FlightsPerSegment: 3})
 	app := acmeair.New(l, n, db, acmeair.Config{UsePromises: true})
-	counter := instrument.NewCounter()
-	l.Probes().Attach(counter)
+	metrics := trace.NewMetrics(l)
+	l.Probes().Attach(metrics)
 	requests := 200
 	d := NewDriver(n, Options{Port: app.Port(), Clients: 4, Requests: requests, Seed: 5})
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
@@ -161,8 +162,19 @@ func TestFig6bStyleAPIUsageCounters(t *testing.T) {
 	if err := l.Run(main); err != nil {
 		t.Fatal(err)
 	}
+	var nextTick, emitter, promise int64
+	for api, st := range metrics.Snapshot().PerAPI {
+		switch {
+		case instrument.IsNextTick(api):
+			nextTick += st.Count
+		case instrument.Categorize(api) == instrument.CatEmitter:
+			emitter += st.Count
+		case instrument.Categorize(api) == instrument.CatPromise:
+			promise += st.Count
+		}
+	}
 	perReq := func(v int64) float64 { return float64(v) / float64(requests) }
-	nt, em, pr := perReq(counter.NextTick), perReq(counter.Emitter), perReq(counter.Promise)
+	nt, em, pr := perReq(nextTick), perReq(emitter), perReq(promise)
 	t.Logf("per-request: nextTick=%.2f emitter=%.2f promise=%.2f", nt, em, pr)
 	if !(nt > em && em > pr) {
 		t.Fatalf("expected nextTick > emitter > promise, got %.2f / %.2f / %.2f", nt, em, pr)
