@@ -41,9 +41,10 @@ race-explore:
 	$(GO) test -race ./internal/explore/...
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 
-# Short native-fuzzing passes over two decoders. Shard wire specs must
+# Short native-fuzzing passes over three decoders. Shard wire specs must
 # validate or fail cleanly, never panic, and accepted ones must run one
-# schedule per plan with replayable tokens. Async Graph logs must be
+# schedule per plan with replayable tokens. Job bodies must come out as
+# an accepted job or a 4xx, never a panic or a 5xx. Async Graph logs must be
 # rejected or render as DOT and SVG, and re-serialize stably; their
 # seeds are the case corpus' graphs, some over 100 KB, so minimizing a
 # new input is capped at 2 s to leave the budget for fuzzing. Crashers
@@ -51,6 +52,7 @@ race-explore:
 # seeds.
 fuzz-smoke:
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # End-to-end smoke of `asyncg fig6` (both figures on a small load) and
@@ -74,9 +76,13 @@ fleet-smoke:
 
 # Fleet coordinator behavior under the race detector: merge equivalence
 # for every strategy at varying shard widths, journal round-trip,
-# resume-after-cancel, and dead-worker reassignment.
+# resume-after-cancel, and dead-worker reassignment. The second pass
+# repeats the tests whose outcome depends on how dispatches interleave
+# (which worker a retry lands on, when a cancel hits) twenty times,
+# since one pass sees one interleaving.
 race-fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
+	$(GO) test -race -count=20 -run 'TestFleetDeadWorkerReassignment|TestFleetMatchesSingleProcess|TestFleetResume' ./internal/fleet/
 
 # Analysis-service behavior under the race detector: the 200-submission
 # overflow load test (queue capacity 8 → 429 + Retry-After), per-job

@@ -82,16 +82,22 @@ func runExplore(args []string) int {
 		return replaySchedule(target, *replay, *traceOut, *traceFmt, *chains, *debugStack)
 	}
 
-	strat, err := explore.StrategyFor(*strategy, explore.StrategyParams{
-		Seed:       *seed,
-		DelayBound: *delayBound,
-		POR:        *por,
-	})
+	_, opts, err := explore.Spec{
+		Target:      spec,
+		Strategy:    *strategy,
+		Seed:        *seed,
+		Runs:        *runs,
+		Kinds:       *kinds,
+		DelayBound:  *delayBound,
+		POR:         *por,
+		Chains:      *chains,
+		DebugStacks: *debugStack,
+	}.Options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
 	}
-	kindList, err := explore.ParseKinds(*kinds)
+	sink, err := openNDJSON(*ndjsonOut, target.Name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
@@ -99,69 +105,16 @@ func runExplore(args []string) int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	opts := []explore.Option{
-		explore.WithRuns(*runs),
-		explore.WithSeed(*seed),
-		explore.WithStrategy(strat),
-		explore.WithKinds(kindList...),
-		explore.WithWorkers(*workers),
-	}
-	if *chains {
-		opts = append(opts, explore.WithChains())
-	}
-	if *debugStack {
-		opts = append(opts, explore.WithDebugStacks())
-	}
-
-	// NDJSON run lines stream live and flush per line, so an aborted or
-	// cancelled exploration still leaves a readable (partial) stream.
-	var (
-		stream     *explore.NDJSONStream
-		streamFile *os.File
-		streamErr  error
-	)
-	if *ndjsonOut != "" {
-		out := os.Stdout
-		if *ndjsonOut != "-" {
-			f, err := os.Create(*ndjsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return exitUsage
-			}
-			streamFile = f
-			out = f
-		}
-		stream = explore.NewNDJSONStream(out, target.Name)
-		opts = append(opts, explore.WithProgress(func(rr explore.RunResult) {
-			if err := stream.Run(rr); err != nil && streamErr == nil {
-				streamErr = err
-			}
-		}))
-	}
-
-	res, runErr := explore.Run(ctx, target, opts...)
+	res, runErr := explore.Run(ctx, target, append(opts, explore.WithWorkers(*workers), explore.WithProgress(sink.progress()))...)
 	if note := res.BudgetNote(); note != "" {
 		fmt.Fprintf(os.Stderr, "explore: %s\n", note)
 	}
-	if stream != nil {
-		// Finish even on the cancelled path: the classification of the
-		// completed prefix is flushed, never silently truncated.
-		if err := stream.Finish(res); err != nil && streamErr == nil {
-			streamErr = err
-		}
-		if streamFile != nil {
-			if err := streamFile.Close(); err != nil && streamErr == nil {
-				streamErr = err
-			}
-		}
-		if streamErr != nil {
-			fmt.Fprintln(os.Stderr, streamErr)
-			return exitUsage
-		}
-		if *ndjsonOut != "-" {
-			fmt.Printf("wrote %s\n", *ndjsonOut)
-		}
+	if err := sink.close(res); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
+	if *ndjsonOut != "" && *ndjsonOut != "-" {
+		fmt.Printf("wrote %s\n", *ndjsonOut)
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "explore: cancelled after %d run(s): %v\n", len(res.Runs), runErr)

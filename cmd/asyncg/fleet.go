@@ -101,26 +101,39 @@ func runFleet(args []string) int {
 			return exitUsage
 		}
 		plan = fleet.Plan{
-			Target:      *targetSpec,
-			Strategy:    *strategy,
-			Seed:        *seed,
-			Runs:        *runs,
-			Kinds:       *kinds,
-			DelayBound:  *delayBound,
-			POR:         *por,
-			ShardRuns:   *shardRuns,
-			Metrics:     *metrics,
-			Chains:      *chains,
-			DebugStacks: *debugStack,
+			Spec: explore.Spec{
+				Target:      *targetSpec,
+				Strategy:    *strategy,
+				Seed:        *seed,
+				Runs:        *runs,
+				Kinds:       *kinds,
+				DelayBound:  *delayBound,
+				POR:         *por,
+				Chains:      *chains,
+				DebugStacks: *debugStack,
+			},
+			ShardRuns: *shardRuns,
+			Metrics:   *metrics,
 		}
-		if journalDir == "" {
-			tmp, err := os.MkdirTemp("", "asyncg-fleet-*")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return exitUsage
-			}
-			journalDir = tmp
+	}
+	// Bad planning flags are usage errors, refused before any journal
+	// directory is made.
+	if _, _, err := plan.Options(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
+	target, err := explore.TargetByName(plan.Target)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
+	if journalDir == "" {
+		tmp, err := os.MkdirTemp("", "asyncg-fleet-*")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return exitUsage
 		}
+		journalDir = tmp
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -129,36 +142,11 @@ func runFleet(args []string) int {
 	// The merged stream mirrors `asyncg explore -ndjson` byte for byte:
 	// run lines in global order as shards complete in order, then the
 	// classification and summary.
-	var (
-		stream     *explore.NDJSONStream
-		streamFile *os.File
-		streamErr  error
-		progress   func(explore.RunResult)
-	)
-	if *ndjsonOut != "" {
-		out := os.Stdout
-		if *ndjsonOut != "-" {
-			f, err := os.Create(*ndjsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return exitUsage
-			}
-			streamFile = f
-			out = f
-		}
-		target, err := explore.TargetByName(plan.Target)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return exitUsage
-		}
-		stream = explore.NewNDJSONStream(out, target.Name)
-		progress = func(rr explore.RunResult) {
-			if err := stream.Run(rr); err != nil && streamErr == nil {
-				streamErr = err
-			}
-		}
+	sink, err := openNDJSON(*ndjsonOut, target.Name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
 	}
-
 	res, stats, runErr := fleet.Run(ctx, fleet.Config{
 		Plan:           plan,
 		Workers:        workerURLs,
@@ -166,24 +154,13 @@ func runFleet(args []string) int {
 		Resume:         *resume != "",
 		RequestTimeout: *requestTimeout,
 		MaxAttempts:    *maxAttempts,
-		Progress:       progress,
+		Progress:       sink.progress(),
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
 	})
-
-	if stream != nil && res != nil {
-		if err := stream.Finish(res); err != nil && streamErr == nil {
-			streamErr = err
-		}
-	}
-	if streamFile != nil {
-		if err := streamFile.Close(); err != nil && streamErr == nil {
-			streamErr = err
-		}
-	}
-	if streamErr != nil {
-		fmt.Fprintln(os.Stderr, streamErr)
+	if err := sink.close(res); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return exitUsage
 	}
 

@@ -24,8 +24,8 @@ func annotateReport(report *asyncg.Report, token string) {
 // replaying each distinct witness token once and walking the warning's
 // async causal chain on the replayed graph. Chains are attached *after*
 // aggregation on purpose: they are a pure, deterministic function of
-// (target, witness token), so a fleet coordinator calling AttachChains
-// on its merged Result produces byte-identical chains to a
+// (target, witness token), so a fleet coordinator attaching them to its
+// merged Result (Fold.Finish) produces byte-identical chains to a
 // single-process exploration — the merge invariant survives. With
 // debugStacks the replays run under asyncg.WithDebugStacks, so every
 // hop carries its creation call site.
@@ -58,7 +58,7 @@ func chainsForToken(t Target, token string, debugStacks bool) map[string][]async
 	if debugStacks {
 		extra = append(extra, asyncg.WithDebugStacks())
 	}
-	_, report, err := Replay(t, token, extra...)
+	report, _, err := replay(t, token, extra)
 	if err != nil || report == nil || report.Graph == nil {
 		return nil
 	}

@@ -19,7 +19,7 @@ import (
 func TestCoveragePlanReplaysDraw(t *testing.T) {
 	const seed = 5
 	corpus := [][]int{{1, 0, 2}, {0, 1}, {2, 2, 1, 1}}
-	s, err := StrategyFor(StrategyCoverage, StrategyParams{Seed: seed})
+	s, _, err := Spec{Strategy: StrategyCoverage, Seed: seed}.Options()
 	if err != nil {
 		t.Fatal(err)
 	}

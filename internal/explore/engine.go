@@ -288,9 +288,9 @@ type RunResult struct {
 	PrunedPicks int `json:"prunedPicks,omitempty"`
 	// Domains records the domain size of every choice point the run hit,
 	// in pick order. Populated only under WithRunFeedback — with the
-	// token it rebuilds the run's Feedback, which is how a fleet
-	// coordinator feeds remote runs to its strategy — and stripped
-	// before results are merged or compared.
+	// token it rebuilds the run's Feedback (RunResult.Feedback), which
+	// is how a fleet coordinator folds remote runs in — and stripped by
+	// a Fold without that option.
 	Domains []int `json:"domains,omitempty"`
 	// Independent records, per choice point, whether the pick permutes
 	// independent alternatives (the partial-order-reduction signal).
@@ -424,55 +424,12 @@ func (r *Result) Sometimes() []WarningStat {
 // worker has exited Run re-panics with the original value on the
 // caller's goroutine.
 func Run(ctx context.Context, t Target, opts ...Option) (*Result, error) {
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return runExploration(ctx, t, cfg)
-}
-
-// runExploration runs the worker pool and folds the strategy's own
-// reporting (space exhaustion, coverage stats) into the Result.
-func runExploration(ctx context.Context, t Target, cfg config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := &Result{Target: t.Name, Strategy: cfg.Strategy.Name(), Seed: cfg.Seed, Requested: cfg.Runs}
-	err := runPool(ctx, t, cfg, res)
-	if err == nil {
-		if sr, ok := cfg.Strategy.(SpaceReporter); ok {
-			res.Exhausted = sr.Exhausted()
-		}
-	}
-	if cr, ok := cfg.Strategy.(CoverageReporter); ok {
-		stats := cr.CoverageStats()
-		res.CorpusSize = stats.CorpusSize
-		res.PrunedPicks = stats.PrunedPicks
-	}
-	aggregate(t, res)
-	res.NewGraphs = len(res.Fingerprints)
-	if err == nil && cfg.Chains {
-		AttachChains(t, res, cfg.DebugStacks)
-	}
-	return res, err
-}
-
-// emitRun appends one completed run to the result in run-index order:
-// the per-run record, the metrics aggregate, and the progress callback
-// all advance together, so a streaming consumer sees exactly the prefix
-// the final Result will contain.
-func emitRun(res *Result, cfg *config, rr RunResult, snap *trace.Snapshot) {
-	res.Runs = append(res.Runs, rr)
-	if snap != nil {
-		if res.Metrics == nil {
-			res.Metrics = &trace.Snapshot{}
-		}
-		res.Metrics.Merge(snap)
-	}
-	if cfg.Progress != nil {
-		cfg.Progress(rr)
-	}
+	f := NewFold(t, opts...)
+	err := runPool(ctx, t, f)
+	return f.Finish(err), err
 }
 
 // intern is one pool worker's scratch state. Warning keys recur across
@@ -560,11 +517,21 @@ func runOnce(ctx context.Context, run func(extra ...asyncg.Option) (*asyncg.Repo
 	}
 	report, rerr := run(extras...)
 	rr = RunResult{Index: idx, Token: ch.Schedule().Token()}
-	if rerr != nil {
-		rr.Err = rerr.Error()
-	}
+	in.summarize(&rr, report, rerr)
 	if report == nil {
 		return rr, nil, nil
+	}
+	return rr, report.Metrics, nil
+}
+
+// summarize copies one run's outcome into rr: its limit error, tick
+// count, fingerprint, and sorted, deduplicated warning keys.
+func (in *intern) summarize(rr *RunResult, report *asyncg.Report, err error) {
+	if err != nil {
+		rr.Err = err.Error()
+	}
+	if report == nil {
+		return
 	}
 	rr.Ticks = report.Ticks
 	if report.Graph != nil {
@@ -579,7 +546,6 @@ func runOnce(ctx context.Context, run func(extra ...asyncg.Option) (*asyncg.Repo
 		}
 	}
 	sort.Strings(rr.Warnings)
-	return rr, report.Metrics, nil
 }
 
 // Replay runs the target once under a recorded schedule token; extra
@@ -589,39 +555,38 @@ func runOnce(ctx context.Context, run func(extra ...asyncg.Option) (*asyncg.Repo
 // provenance: ReplayToken is stamped with token and Chain with the
 // async causal chain walked back from the warning's graph node.
 func Replay(t Target, token string, extra ...asyncg.Option) (RunResult, *asyncg.Report, error) {
-	sched, err := ParseToken(token)
+	report, runErr, err := replay(t, token, extra)
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	ch := newChooser(AllKinds(), playbackNext(sched.Picks))
-	opts := append([]asyncg.Option{asyncg.WithScheduler(ch)}, extra...)
-	report, rerr := t.runFresh(opts...)
 	rr := RunResult{Token: token}
-	if rerr != nil {
-		rr.Err = rerr.Error()
-	}
-	if report != nil {
-		rr.Ticks = report.Ticks
-		if report.Graph != nil {
-			rr.Fingerprint = report.Graph.Fingerprint()
-		}
-		annotateReport(report, token)
-		seen := make(map[string]bool)
-		for _, w := range report.Warnings {
-			key := warnKey(w)
-			if !seen[key] {
-				seen[key] = true
-				rr.Warnings = append(rr.Warnings, key)
-			}
-		}
-		sort.Strings(rr.Warnings)
-	}
+	newIntern().summarize(&rr, report, runErr)
 	return rr, report, nil
 }
 
-// aggregate fills the result's fingerprint census and warning/category
-// classification from the per-run records.
-func aggregate(t Target, res *Result) {
+// replay is the replay behind Replay and chains: one run of t on a cold
+// runtime under the schedule token, every warning of the report
+// annotated with its provenance (see annotateReport), and nothing else
+// computed. err reports a malformed token; runErr is the run's own
+// limit error, if any.
+func replay(t Target, token string, extra []asyncg.Option) (report *asyncg.Report, runErr, err error) {
+	sched, err := ParseToken(token)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch := newChooser(AllKinds(), playbackNext(sched.Picks))
+	report, runErr = t.runFresh(append([]asyncg.Option{asyncg.WithScheduler(ch)}, extra...)...)
+	annotateReport(report, token)
+	return report, runErr, nil
+}
+
+// Finalize re-derives a Result's aggregate sections — the fingerprint
+// census, the warning and category classification, and NewGraphs — from
+// its Runs, replacing whatever was there. Fold.Finish runs it for every
+// exploration, local or fleet; aggregation is a pure function of the
+// ordered run records and the target's Expect set.
+func Finalize(t Target, res *Result) {
+	res.Fingerprints, res.Warnings, res.Categories = nil, nil, nil
 	total := len(res.Runs)
 	fpCount := make(map[string]int)
 	fpToken := make(map[string]string)
@@ -734,6 +699,7 @@ func aggregate(t Target, res *Result) {
 		}
 		return a.Fingerprint < b.Fingerprint
 	})
+	res.NewGraphs = len(res.Fingerprints)
 }
 
 // warnKey renders a warning's exploration identity: "category @ location".

@@ -373,3 +373,38 @@ func hasKey(keys []string, key string) bool {
 	}
 	return false
 }
+
+// TestSpecOptions: Spec.Options is the one validation every front end
+// shares. A negative run budget, an unknown strategy and an unknown
+// choice kind are refused; a valid spec explores exactly what the
+// equivalent options do, an empty strategy meaning random.
+func TestSpecOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"negative run budget", Spec{Target: "case:SO-17894000", Runs: -1}, "negative run budget"},
+		{"unknown strategy", Spec{Target: "case:SO-17894000", Strategy: "anneal"}, "unknown strategy"},
+		{"unknown choice kind", Spec{Target: "case:SO-17894000", Kinds: "io-order,bogus-kind"}, "unknown choice kind"},
+	} {
+		if _, _, err := tc.spec.Options(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	tg := caseTarget(t, "SO-17894000")
+	p, opts, err := Spec{Target: "case:SO-17894000", Seed: 3, Runs: 8, Kinds: "io-order,latency", Chains: true}.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Name() != StrategyRandom {
+		t.Errorf("empty strategy built %q, want %q", p.Name(), StrategyRandom)
+	}
+	got := resultJSON(t, mustRun(t, tg, opts...))
+	want := resultJSON(t, mustRun(t, tg, WithSeed(3), WithRuns(8), WithChains(),
+		WithKinds(eventloop.ChoiceIOOrder, eventloop.ChoiceLatency)))
+	if got != want {
+		t.Errorf("Spec.Options explored differently from the equivalent options\nspec:    %s\noptions: %s", got, want)
+	}
+}

@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"fmt"
+
 	"asyncg/internal/eventloop"
 )
 
@@ -25,7 +27,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithStrategy installs the schedule-space walk — a built-in strategy
-// (NewRandom, NewDelay, NewExhaustive, NewCoverage, or StrategyFor for
+// (NewRandom, NewDelay, NewExhaustive, NewCoverage, or Spec.Options for
 // name-based construction) or any custom Strategy implementation.
 // Strategy instances are stateful and single-use: build a fresh one per
 // exploration. Without this option the engine uses NewRandom(seed).
@@ -62,13 +64,57 @@ func WithProgress(fn func(RunResult)) Option {
 // WithRunFeedback copies each run's choice-point record — the domain
 // size and independence flag of every pick — into RunResult.Domains and
 // RunResult.Independent. Together with the token this is a strategy's
-// Observe input exported over the wire: a fleet coordinator rebuilds
-// each remote run's Feedback from it, so its strategy observes exactly
-// what a local exploration's would. Off by default; the fields are
-// stripped again before merged results are compared, so enabling it
-// never changes a Result's canonical JSON.
+// Observe input exported over the wire (RunResult.Feedback decodes it):
+// a fleet coordinator folds each remote run in with it (Fold.Add), so
+// its strategy observes exactly what a local exploration's would. Off
+// by default; a Fold without it strips the fields again, so a merged
+// Result's canonical JSON never carries them.
 func WithRunFeedback() Option {
 	return func(c *config) { c.Feedback = true }
+}
+
+// Feedback decodes the record WithRunFeedback encodes: the strategy
+// feedback of the run, as the local pool hands it to Observe straight
+// from the run's chooser. The token trims trailing default picks, so
+// its picks are padded back to one per recorded domain. A record that
+// cannot be a real recording is an error, never a panic, so a fleet
+// coordinator can check every run line a worker sends with it.
+func (rr RunResult) Feedback() (Feedback, error) {
+	sched, err := ParseToken(rr.Token)
+	if err != nil {
+		return Feedback{}, fmt.Errorf("run %d: %w", rr.Index, err)
+	}
+	if len(rr.Independent) != len(rr.Domains) {
+		return Feedback{}, fmt.Errorf("run %d: %d independence flags for %d domains", rr.Index, len(rr.Independent), len(rr.Domains))
+	}
+	if len(sched.Picks) > len(rr.Domains) {
+		return Feedback{}, fmt.Errorf("run %d: token has %d picks for %d domains", rr.Index, len(sched.Picks), len(rr.Domains))
+	}
+	picks := make([]int, len(rr.Domains))
+	copy(picks, sched.Picks)
+	for pos, d := range rr.Domains {
+		if picks[pos] >= d {
+			return Feedback{}, fmt.Errorf("run %d: pick %d outside domain %d at position %d", rr.Index, picks[pos], d, pos)
+		}
+	}
+	return rr.feedback(picks), nil
+}
+
+// feedback is the run's Feedback given its full pick recording: every
+// other field is read off the run.
+func (rr RunResult) feedback(picks []int) Feedback {
+	return Feedback{
+		Index:       rr.Index,
+		Token:       rr.Token,
+		Picks:       picks,
+		Domains:     rr.Domains,
+		Independent: rr.Independent,
+		Fingerprint: rr.Fingerprint,
+		NewGraph:    rr.NewGraph,
+		Warnings:    rr.Warnings,
+		Err:         rr.Err,
+		Ticks:       rr.Ticks,
+	}
 }
 
 // WithChains attaches async causal chains to the classified warnings:
@@ -102,4 +148,65 @@ func WithDebugStacks() Option {
 // never perturbs scheduling.
 func WithRunMetrics() Option {
 	return func(c *config) { c.RunMetrics = true }
+}
+
+// Spec is an exploration's parameters as every front end carries them:
+// the explore and fleet flags, a serve job body and a fleet plan.json,
+// which embed it under these JSON names. Resolving Target, the worker
+// count, metrics and progress stay with the front end.
+type Spec struct {
+	// Target is a registry spec, resolved through TargetByName.
+	Target string `json:"target"`
+	// Strategy is random (the default), delay, exhaustive or coverage.
+	Strategy string `json:"strategy"`
+	// Seed seeds the random, delay and coverage walks (Result.Seed).
+	Seed int64 `json:"seed,omitempty"`
+	// Runs bounds the schedules (0 means 32); exhaustive may stop early.
+	Runs int `json:"runs"`
+	// Kinds restricts the perturbed choice kinds, comma-separated
+	// ("io-order,latency"; empty means DefaultKinds).
+	Kinds string `json:"kinds,omitempty"`
+	// DelayBound caps non-default picks per run for delay (0 means 2).
+	DelayBound int `json:"delayBound,omitempty"`
+	// POR enables partial-order reduction for exhaustive.
+	POR bool `json:"por,omitempty"`
+	// Chains attaches async causal chains to the warnings (WithChains).
+	Chains bool `json:"chains,omitempty"`
+	// DebugStacks runs the witness replays behind chains under
+	// creation-stack capture (WithDebugStacks); no effect without Chains.
+	DebugStacks bool `json:"debugStacks,omitempty"`
+}
+
+// Options validates the spec and returns its strategy, freshly built,
+// with the options that explore it. A caller that plans runs itself
+// (the fleet coordinator) drives the strategy through PlanRun.
+func (s Spec) Options() (Planner, []Option, error) {
+	if s.Runs < 0 {
+		return nil, nil, fmt.Errorf("explore: negative run budget %d", s.Runs)
+	}
+	var strat Strategy
+	switch s.Strategy {
+	case "", StrategyRandom:
+		strat = NewRandom(s.Seed)
+	case StrategyDelay:
+		strat = NewDelay(s.Seed, s.DelayBound)
+	case StrategyExhaustive:
+		strat = NewExhaustive(s.POR)
+	case StrategyCoverage:
+		strat = NewCoverage(s.Seed)
+	default:
+		return nil, nil, fmt.Errorf("explore: unknown strategy %q (random, delay, exhaustive, coverage)", s.Strategy)
+	}
+	kinds, err := parseKinds(s.Kinds)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := []Option{WithRuns(s.Runs), WithSeed(s.Seed), WithStrategy(strat), WithKinds(kinds...)}
+	if s.Chains {
+		opts = append(opts, WithChains())
+	}
+	if s.DebugStacks {
+		opts = append(opts, WithDebugStacks())
+	}
+	return strat.(Planner), opts, nil
 }

@@ -35,14 +35,14 @@ import (
 //
 // The lock guards the strategy, the plan and emit cursors, the
 // in-flight count, the buffer of runs completed out of order, the
-// fingerprint census, the chooser pool, the Result under construction,
-// and the halt state. Strategies plan from what they have observed
-// (the exhaustive frontier grows out of completed runs; the coverage
-// corpus accumulates new-fingerprint schedules), so Observe is called
-// strictly in run-index order: by whichever worker hands in the run
-// that extends the emitted prefix. That worker also takes the NewGraph
-// census, recycles the run's chooser, snapshots the CoverageReporter
-// stats, and calls emitRun, and with it the Progress callback; a run
+// chooser pool, the Fold building the Result, and the halt state.
+// Strategies plan from what they have observed (the exhaustive frontier
+// grows out of completed runs; the coverage corpus accumulates
+// new-fingerprint schedules), so Observe is called strictly in
+// run-index order: by whichever worker hands in the run that extends
+// the emitted prefix. That worker folds the run in (see Fold: the
+// NewGraph census, Observe, the CoverageReporter stats, the metrics
+// merge, and the Progress callback) and recycles its chooser; a run
 // completing early waits in pending until its predecessors are in. The
 // lock is held across the strategy's and the callback's code on
 // purpose: serializing those calls in run-index order is its job, so a
@@ -101,7 +101,7 @@ type doneRun struct {
 type pool struct {
 	t    Target
 	cfg  *config
-	res  *Result
+	fold *Fold
 	ctx  context.Context
 	stop context.CancelFunc
 
@@ -112,26 +112,25 @@ type pool struct {
 	inFlight int // planned runs not yet handed in
 	planDone bool
 	pending  map[int]doneRun
-	seen     map[string]bool // fingerprints, in run-index order
 	choosers []*chooser
 	err      error // the first target panic
 	panicVal any   // the first panic outside a run (recover never yields nil)
 }
 
-// runPool executes the exploration with up to cfg.Workers runs in
-// flight, the caller being one of the workers.
-func runPool(ctx context.Context, t Target, cfg config, res *Result) error {
+// runPool executes the exploration f was started with, up to Workers
+// runs in flight, the caller being one of the workers, and folds every
+// run into f in index order.
+func runPool(ctx context.Context, t Target, f *Fold) error {
 	// The internal cancel lets a panic stop the exploration the same way
 	// an external cancel does (halt planning, interrupt in-flight runs
 	// at their next tick boundary).
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
-	p := &pool{t: t, cfg: &cfg, res: res, ctx: ctx, stop: stop,
-		pending: make(map[int]doneRun), seen: make(map[string]bool)}
+	p := &pool{t: t, cfg: f.cfg, fold: f, ctx: ctx, stop: stop, pending: make(map[int]doneRun)}
 	p.handedIn.L = &p.mu
 
 	var wg sync.WaitGroup
-	for w := 1; w < cfg.Workers; w++ {
+	for w := 1; w < p.cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -243,39 +242,15 @@ func (p *pool) handIn(d *doneRun) {
 	}
 }
 
-// emit feeds the next run in index order back to the strategy and
-// appends it to the Result. Callers hold mu.
+// emit folds the next run in index order into the Result, its
+// chooser's recording standing in for the WithRunFeedback record, and
+// recycles the chooser. Callers hold mu.
 func (p *pool) emit(nd *doneRun) {
 	p.nextEmit++
 	rr := nd.rr
-	if !p.seen[rr.Fingerprint] {
-		p.seen[rr.Fingerprint] = true
-		rr.NewGraph = true
-	}
-	rr.NewGraphs = len(p.seen)
-	if p.cfg.Feedback {
-		rr.Domains = append([]int(nil), nd.ch.domains...)
-		rr.Independent = append([]bool(nil), nd.ch.indep...)
-	}
-	p.cfg.Strategy.Observe(Feedback{
-		Index:       rr.Index,
-		Token:       rr.Token,
-		Picks:       nd.ch.picks,
-		Domains:     nd.ch.domains,
-		Independent: nd.ch.indep,
-		Fingerprint: rr.Fingerprint,
-		NewGraph:    rr.NewGraph,
-		Warnings:    rr.Warnings,
-		Err:         rr.Err,
-		Ticks:       rr.Ticks,
-	})
+	rr.Domains, rr.Independent = nd.ch.domains, nd.ch.indep
+	p.fold.add(rr, nd.ch.picks, nd.snap)
 	p.putChooser(nd.ch)
-	if cr, ok := p.cfg.Strategy.(CoverageReporter); ok {
-		stats := cr.CoverageStats()
-		rr.CorpusSize = stats.CorpusSize
-		rr.PrunedPicks = stats.PrunedPicks
-	}
-	emitRun(p.res, p.cfg, rr, nd.snap)
 }
 
 // fail records the first panic raised on a worker outside a run and

@@ -64,11 +64,11 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 
 // TestRunnerReuseFleetMerge is the distributed version of the same
 // contract: shard a seeded exploration into windows, run every shard on
-// reused runners at varying worker counts, stitch the runs back in
+// reused runners at varying worker counts, and fold the runs back in
 // global order exactly the way the fleet coordinator's absorb does
-// (re-index, recompute NewGraph against the global census, strip
-// wire-only feedback), and Finalize. The merged Result must be
-// byte-identical to the single-process exploration.
+// (re-index, then Fold.Add with the run's WithRunFeedback record). The
+// merged Result must be byte-identical to the single-process
+// exploration.
 func TestRunnerReuseFleetMerge(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	reused := tg
@@ -78,18 +78,12 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 	full := mustRun(t, tg, WithSeed(seed), WithRuns(total))
 	want := resultJSON(t, full)
 
-	merged := &Result{
-		Target:    full.Target,
-		Strategy:  full.Strategy,
-		Seed:      full.Seed,
-		Requested: full.Requested,
-	}
-	seen := make(map[string]bool)
 	workerCycle := []int{1, 4, 8}
-	planner, err := StrategyFor(StrategyRandom, StrategyParams{Seed: seed})
+	planner, opts, err := Spec{Strategy: StrategyRandom, Seed: seed, Runs: total}.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fold := NewFold(reused, opts...)
 	for i, w := range shardWindows(total, 5) {
 		spec := ShardSpec{Start: w[0]}
 		for j := 0; j < w[1]; j++ {
@@ -101,20 +95,15 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 			t.Fatalf("ShardStrategy(%+v): %v", spec, err)
 		}
 		shard := mustRun(t, reused, WithStrategy(strat), WithRuns(len(spec.Plans)),
-			WithWorkers(workerCycle[i%len(workerCycle)]))
+			WithWorkers(workerCycle[i%len(workerCycle)]), WithRunFeedback())
 		for j, rr := range shard.Runs {
 			rr.Index = w[0] + j
-			rr.NewGraph = false
-			if !seen[rr.Fingerprint] {
-				seen[rr.Fingerprint] = true
-				rr.NewGraph = true
+			if err := fold.Add(rr, nil); err != nil {
+				t.Fatal(err)
 			}
-			rr.NewGraphs = len(seen)
-			rr.Domains, rr.Independent = nil, nil
-			merged.Runs = append(merged.Runs, rr)
 		}
 	}
-	Finalize(reused, merged)
+	merged := fold.Finish(nil)
 	if got := resultJSON(t, merged); got != want {
 		t.Errorf("fleet-style merge on reused runners differs from single-process run\nwant: %s\ngot:  %s", want, got)
 	}

@@ -5,11 +5,10 @@ import "fmt"
 // This file is the sharding surface of the exploration engine: the
 // exported description of one contiguous slice of an exploration's runs
 // (ShardSpec — the RunPlans its strategy's PlanRun produced for them),
-// the Strategy that plays exactly that list (ShardStrategy), and the
-// merge primitive (Finalize) that rebuilds a Result's aggregate
-// sections after shard results have been stitched back into global run
-// order. Together they let a fleet coordinator drive one strategy
-// across many asyncg serve workers and still produce output
+// and the Strategy that plays exactly that list (ShardStrategy). A
+// fleet coordinator drives one strategy across many asyncg serve
+// workers and folds the shards' runs back in global run order through
+// the same Fold a local exploration uses, so its output is
 // byte-identical to a single-process Run at the same budget.
 
 // ShardSpec describes one contiguous slice of an exploration: the runs
@@ -69,17 +68,3 @@ func (s shardStrategy) Plan(j int) (PickFunc, PlanState) {
 }
 
 func (shardStrategy) Observe(Feedback) {}
-
-// Finalize re-derives a Result's aggregate sections — the fingerprint
-// census, the warning and category classification, and NewGraphs — from
-// its Runs, replacing whatever was there. It is the merge primitive of
-// the fleet coordinator: after shard results are stitched back into
-// global run order (indices rewritten, NewGraph flags recomputed against
-// the global fingerprint set), Finalize rebuilds exactly the aggregates
-// a single-process Run would have produced, because aggregation is a
-// pure function of the ordered run records and the target's Expect set.
-func Finalize(t Target, res *Result) {
-	res.Fingerprints, res.Warnings, res.Categories = nil, nil, nil
-	aggregate(t, res)
-	res.NewGraphs = len(res.Fingerprints)
-}

@@ -81,11 +81,11 @@ func (r *planRecorder) Plan(i int) (PickFunc, PlanState) {
 // JSON round-tripped ShardSpec, reproduces exactly the plain
 // exploration's runs at those global indices. It returns the plain
 // exploration.
-func checkShardsReplay(t *testing.T, name string, params StrategyParams, runs int, kinds []eventloop.ChoiceKind, widths ...int) *Result {
+func checkShardsReplay(t *testing.T, s Spec, runs int, kinds []eventloop.ChoiceKind, widths ...int) *Result {
 	t.Helper()
 	tg := caseTarget(t, "SO-17894000")
 	planner := func() Planner {
-		p, err := StrategyFor(name, params)
+		p, _, err := s.Options()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,10 +126,10 @@ func checkShardsReplay(t *testing.T, name string, params StrategyParams, runs in
 // run's seed, so any window of them replays anywhere.
 func TestShardStrategySeeded(t *testing.T) {
 	t.Run("random", func(t *testing.T) {
-		checkShardsReplay(t, StrategyRandom, StrategyParams{Seed: 3}, 16, nil, 1, 5, 16)
+		checkShardsReplay(t, Spec{Strategy: StrategyRandom, Seed: 3}, 16, nil, 1, 5, 16)
 	})
 	t.Run("delay", func(t *testing.T) {
-		checkShardsReplay(t, StrategyDelay, StrategyParams{Seed: 7, DelayBound: 2}, 16, nil, 1, 5, 16)
+		checkShardsReplay(t, Spec{Strategy: StrategyDelay, Seed: 7, DelayBound: 2}, 16, nil, 1, 5, 16)
 	})
 }
 
@@ -138,7 +138,7 @@ func TestShardStrategySeeded(t *testing.T) {
 // without the corpus — including that the PickFunc's repeated draw
 // leaves the generator where the strategy's own Plan would.
 func TestShardStrategyCoverage(t *testing.T) {
-	checkShardsReplay(t, StrategyCoverage, StrategyParams{Seed: 11}, 40, nil, 3, 8)
+	checkShardsReplay(t, Spec{Strategy: StrategyCoverage, Seed: 11}, 40, nil, 3, 8)
 }
 
 // TestShardStrategyExhaustive: an exhaustive plan is its forced prefix,
@@ -146,7 +146,7 @@ func TestShardStrategyCoverage(t *testing.T) {
 func TestShardStrategyExhaustive(t *testing.T) {
 	kinds := []eventloop.ChoiceKind{eventloop.ChoiceIOOrder, eventloop.ChoiceLatency}
 	for _, por := range []bool{false, true} {
-		full := checkShardsReplay(t, StrategyExhaustive, StrategyParams{POR: por}, 60, kinds, 7)
+		full := checkShardsReplay(t, Spec{Strategy: StrategyExhaustive, POR: por}, 60, kinds, 7)
 		if !full.Exhausted {
 			t.Fatalf("por=%v: 60-run budget should exhaust the reduced-kind space", por)
 		}

@@ -3,11 +3,13 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"asyncg/internal/eventloop"
 )
 
-// Names of the built-in strategies, as accepted by StrategyFor and
+// Names of the built-in strategies, as accepted by Spec.Strategy and
 // reported by Result.Strategy.
 const (
 	// StrategyRandom draws every pick uniformly from its domain — the
@@ -144,17 +146,6 @@ type CoverageReporter interface {
 	CoverageStats() CoverageStats
 }
 
-// StrategyParams carries the CLI/server-level strategy knobs; fields
-// irrelevant to the named strategy are ignored.
-type StrategyParams struct {
-	// Seed feeds the random, delay and coverage strategies.
-	Seed int64
-	// DelayBound caps non-default picks per run for delay (0 means 2).
-	DelayBound int
-	// POR enables partial-order reduction for exhaustive.
-	POR bool
-}
-
 // Planner is a Strategy whose runs are data: PlanRun answers Plan's
 // question with a serializable RunPlan instead of a closure. Every
 // built-in strategy is a Planner, and its Plan runs the plan PlanRun
@@ -168,25 +159,6 @@ type Planner interface {
 	// indices, the same PlanWait/PlanDone answers); a PlanReady plan's
 	// PickFunc draws exactly the picks Plan(i)'s function would.
 	PlanRun(i int) (RunPlan, PlanState)
-}
-
-// StrategyFor builds a built-in strategy by name (empty means random) —
-// the bridge from flag/JSON surfaces to the Strategy interface.
-func StrategyFor(name string, p StrategyParams) (Planner, error) {
-	var s Strategy
-	switch name {
-	case "", StrategyRandom:
-		s = NewRandom(p.Seed)
-	case StrategyDelay:
-		s = NewDelay(p.Seed, p.DelayBound)
-	case StrategyExhaustive:
-		s = NewExhaustive(p.POR)
-	case StrategyCoverage:
-		s = NewCoverage(p.Seed)
-	default:
-		return nil, fmt.Errorf("explore: unknown strategy %q (random, delay, exhaustive, coverage)", name)
-	}
-	return s.(Planner), nil
 }
 
 // RunPlan is everything one run's picks derive from, as data: a strategy's
@@ -658,38 +630,24 @@ func AllKinds() []eventloop.ChoiceKind {
 	}
 }
 
-// ParseKinds converts a comma-separated kind list ("io-order,latency").
-func ParseKinds(s string) ([]eventloop.ChoiceKind, error) {
+// parseKinds converts a comma-separated kind list ("io-order,latency");
+// empty means DefaultKinds.
+func parseKinds(s string) ([]eventloop.ChoiceKind, error) {
 	if s == "" {
 		return DefaultKinds(), nil
 	}
-	known := make(map[eventloop.ChoiceKind]bool)
-	for _, k := range AllKinds() {
-		known[k] = true
-	}
 	var kinds []eventloop.ChoiceKind
-	for _, part := range splitComma(s) {
+	for _, part := range strings.Split(s, ",") {
+		if part == "" {
+			continue
+		}
 		k := eventloop.ChoiceKind(part)
-		if !known[k] {
+		if !slices.Contains(AllKinds(), k) {
 			return nil, fmt.Errorf("explore: unknown choice kind %q", part)
 		}
 		kinds = append(kinds, k)
 	}
 	return kinds, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }
 
 // chooser is the eventloop.Scheduler the engine installs for each run.

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"asyncg/internal/explore"
@@ -29,6 +30,46 @@ type client struct {
 
 func newClient(base string, timeout time.Duration) *client {
 	return &client{base: strings.TrimRight(base, "/"), http: &http.Client{}, timeout: timeout}
+}
+
+// idleWorkers hands out the workers that have no shard in flight, one
+// shard per worker entry.
+type idleWorkers struct {
+	all   int // worker entries, idle or not
+	mu    sync.Mutex
+	idle  []*client
+	freed chan struct{} // closed and replaced whenever a worker comes back
+}
+
+// take waits for an idle worker outside avoid, in the order workers
+// became idle; once avoid holds every worker, any idle one will do.
+func (w *idleWorkers) take(ctx context.Context, avoid map[*client]bool) (*client, error) {
+	for {
+		w.mu.Lock()
+		for i, cl := range w.idle {
+			if !avoid[cl] || len(avoid) >= w.all {
+				w.idle = append(w.idle[:i], w.idle[i+1:]...)
+				w.mu.Unlock()
+				return cl, nil
+			}
+		}
+		freed := w.freed
+		w.mu.Unlock()
+		select {
+		case <-freed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// put returns a worker taken with take.
+func (w *idleWorkers) put(cl *client) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.idle = append(w.idle, cl)
+	close(w.freed)
+	w.freed = make(chan struct{})
 }
 
 // busyError is a 429 refusal; RetryAfter carries the worker's hint.
@@ -177,10 +218,10 @@ type wireLine struct {
 
 // stream follows the job's NDJSON to completion and validates the
 // shard's shape: exactly one run line per plan, locally indexed in
-// order, each a well-formed recording (see feedbackOf), closed by an
-// explore-summary. A stream that ends early (worker died, job failed or
-// was cancelled) or carries a bad line is an error — the caller
-// reassigns, and nothing reaches the journal.
+// order, each a well-formed recording (see explore.RunResult.Feedback),
+// closed by an explore-summary. A stream that ends early (worker died,
+// job failed or was cancelled) or carries a bad line is an error — the
+// caller reassigns, and nothing reaches the journal.
 func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpec) (*shardOutput, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
@@ -208,7 +249,7 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 			if line.Index != len(out.Runs) {
 				return nil, fmt.Errorf("fleet: %s: run index %d out of order (want %d)", c.base, line.Index, len(out.Runs))
 			}
-			if _, err := feedbackOf(line.RunResult); err != nil {
+			if _, err := line.Feedback(); err != nil {
 				return nil, fmt.Errorf("fleet: %s: bad run line: %v", c.base, err)
 			}
 			out.Runs = append(out.Runs, line.RunResult)

@@ -4,16 +4,14 @@
 // single-process explore.Run at the same budget.
 //
 // The coordinator drives the same explore.Planner a local exploration
-// uses: it cuts consecutive PlanRun answers into shards of RunPlans,
-// and feeds every absorbed run back through Observe in global run
-// order. Each strategy's planning and observing logic therefore exists
-// once, in package explore, and every shard is a self-contained job any
-// worker can execute via the jobs API. The coordinator consumes each
-// job's live NDJSON stream, normalizes runs back into global index
-// order (recomputing the cross-run NewGraph census that individual
-// workers cannot know), merges the per-shard trace.Snapshots with the
-// existing commutative Merge, and re-derives the
-// fingerprint/warning/category censuses with explore.Finalize.
+// uses, built from the same explore.Spec: it cuts consecutive PlanRun
+// answers into shards of RunPlans, and every shard is a self-contained
+// job any worker can execute via the jobs API. The coordinator consumes
+// each job's live NDJSON stream, rewrites the runs' local indices to
+// global ones, and hands them in global run order to the explore.Fold
+// a local exploration builds its Result with — the NewGraph census,
+// the strategy's Observe, the metrics merge and the final aggregation
+// all exist once, in package explore.
 //
 // Every completed shard is committed to a write-ahead journal before it
 // counts, so a killed coordinator resumes from its last completed shard
@@ -34,22 +32,12 @@ import (
 // everything the strategy and the shard boundaries depend on, and
 // exactly what plan.json persists for resume.
 type Plan struct {
-	// Target is the explore registry spec ("case:SO-17894000",
-	// "acmeair:requests=10,...") every worker resolves identically.
-	Target string `json:"target"`
-	// Strategy names the walk (random, delay, exhaustive, coverage).
-	Strategy string `json:"strategy"`
-	// Seed is the exploration's base seed.
-	Seed int64 `json:"seed,omitempty"`
-	// Runs is the global run budget.
-	Runs int `json:"runs"`
-	// Kinds is the comma-separated choice-kind restriction (empty means
-	// the explore defaults).
-	Kinds string `json:"kinds,omitempty"`
-	// DelayBound caps non-default picks per run (delay strategy).
-	DelayBound int `json:"delayBound,omitempty"`
-	// POR enables partial-order reduction (exhaustive strategy).
-	POR bool `json:"por,omitempty"`
+	// Spec is the exploration. Its target is a registry spec every
+	// worker resolves identically; shard workers never compute chains —
+	// the coordinator attaches them locally after the merge, where they
+	// are a deterministic function of (target, witness token), so the
+	// merged Result stays byte-identical to a single-process explore.Run.
+	explore.Spec
 	// ShardRuns is the shard width in runs (default 8). A shard is cut
 	// shorter only where planning ends or the strategy waits on
 	// feedback from every earlier run (see coordinator.nextShard).
@@ -57,17 +45,6 @@ type Plan struct {
 	// Metrics aggregates per-run trace snapshots into Result.Metrics,
 	// like explore.WithRunMetrics.
 	Metrics bool `json:"metrics,omitempty"`
-	// Chains attaches async causal chains to the merged warning
-	// classification. The coordinator attaches them locally *after*
-	// explore.Finalize — chains are a deterministic function of
-	// (target, witness token), so the merged Result stays byte-identical
-	// to a single-process explore.Run with WithChains; shard workers
-	// never compute chains.
-	Chains bool `json:"chains,omitempty"`
-	// DebugStacks runs the coordinator's chain replays under
-	// creation-stack capture (explore.WithDebugStacks), so chain hops
-	// carry creation call sites; shard schedules never capture stacks.
-	DebugStacks bool `json:"debugStacks,omitempty"`
 }
 
 func (p Plan) withDefaults() Plan {
@@ -81,17 +58,6 @@ func (p Plan) withDefaults() Plan {
 		p.ShardRuns = 8
 	}
 	return p
-}
-
-func (p Plan) validate() error {
-	if p.Target == "" {
-		return errors.New("fleet: plan needs a target")
-	}
-	if p.Runs < 0 {
-		return fmt.Errorf("fleet: negative run budget %d", p.Runs)
-	}
-	_, err := explore.ParseKinds(p.Kinds)
-	return err
 }
 
 // equal compares plans for the resume check (JSON-normalized, so only
@@ -191,7 +157,8 @@ type shardResult struct {
 // the journal intact, so a later Resume run picks up where it stopped.
 func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Plan.validate(); err != nil {
+	strategy, opts, err := cfg.Plan.Options()
+	if err != nil {
 		return nil, nil, err
 	}
 	if len(cfg.Workers) == 0 {
@@ -204,36 +171,30 @@ func Run(ctx context.Context, cfg Config) (*explore.Result, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	strategy, err := explore.StrategyFor(cfg.Plan.Strategy, explore.StrategyParams{
-		Seed:       cfg.Plan.Seed,
-		DelayBound: cfg.Plan.DelayBound,
-		POR:        cfg.Plan.POR,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
 	jr, err := openJournal(cfg.Dir, cfg.Plan, cfg.Resume)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer jr.close()
 
-	c := &coordinator{cfg: cfg, target: target, strategy: strategy, journal: jr}
+	if cfg.Plan.Metrics {
+		opts = append(opts, explore.WithRunMetrics())
+	}
+	fold := explore.NewFold(target, append(opts, explore.WithProgress(cfg.Progress))...)
+	c := &coordinator{cfg: cfg, strategy: strategy, fold: fold, journal: jr}
 	return c.run(ctx)
 }
 
 type coordinator struct {
 	cfg      Config
-	target   explore.Target
 	strategy explore.Planner
+	fold     *explore.Fold // the Result, built in global run order
 	journal  *journal
 
-	slots   chan *client // worker rotation; one in-flight shard per slot
+	idle    *idleWorkers // one in-flight shard per worker entry
 	results chan shardResult
 
-	res   *explore.Result
 	stats Stats
-	seen  map[string]bool // global fingerprint census, in run order
 
 	// Shard forming (see nextShard): formed counts the runs of every
 	// shard cut so far, observed the runs fed back through Observe, buf
@@ -246,18 +207,11 @@ type coordinator struct {
 
 func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) {
 	cfg := c.cfg
-	c.slots = make(chan *client, len(cfg.Workers))
+	c.idle = &idleWorkers{all: len(cfg.Workers), freed: make(chan struct{})}
 	for _, url := range cfg.Workers {
-		c.slots <- newClient(url, cfg.RequestTimeout)
+		c.idle.idle = append(c.idle.idle, newClient(url, cfg.RequestTimeout))
 	}
 	c.results = make(chan shardResult)
-	c.seen = make(map[string]bool)
-	c.res = &explore.Result{
-		Target:    c.target.Name,
-		Strategy:  c.strategy.Name(),
-		Seed:      cfg.Plan.Seed,
-		Requested: cfg.Plan.Runs,
-	}
 
 	inFlight := 0
 	nextObserve := 0
@@ -367,22 +321,7 @@ func (c *coordinator) run(ctx context.Context) (*explore.Result, *Stats, error) 
 	if fatal == nil {
 		fatal = ctx.Err()
 	}
-	if sr, ok := c.strategy.(explore.SpaceReporter); ok && fatal == nil {
-		c.res.Exhausted = sr.Exhausted()
-	}
-	if cr, ok := c.strategy.(explore.CoverageReporter); ok {
-		st := cr.CoverageStats()
-		c.res.CorpusSize = st.CorpusSize
-		c.res.PrunedPicks = st.PrunedPicks
-	}
-	explore.Finalize(c.target, c.res)
-	if fatal == nil && c.cfg.Plan.Chains {
-		// After Finalize, witness tokens are final; replaying them
-		// locally yields the same chains a single-process exploration
-		// attaches, keeping the byte-identical merge invariant.
-		explore.AttachChains(c.target, c.res, c.cfg.Plan.DebugStacks)
-	}
-	return c.res, &c.stats, fatal
+	return c.fold.Finish(fatal), &c.stats, fatal
 }
 
 // nextShard cuts the next shard from consecutive PlanRun answers, or
@@ -423,10 +362,13 @@ func (c *coordinator) nextShard() (explore.ShardSpec, bool) {
 	return spec, true
 }
 
-// dispatch runs one shard to completion: worker rotation, capped
+// dispatch runs one shard to completion: worker choice, capped
 // exponential backoff, Retry-After, and reassignment on mid-stream
-// death are all here. The journal commit happens before the result is
-// reported, so "completed" always means "on disk".
+// death are all here. A retry waits for a worker the shard has not yet
+// failed on, so a dead worker's free slot cannot take every attempt
+// while the live workers are busy; once the shard has failed on every
+// worker, any worker will do. The journal commit happens before the
+// result is reported, so "completed" always means "on disk".
 func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardSpec) {
 	req := jobRequest{
 		Target:    c.cfg.Plan.Target,
@@ -435,17 +377,16 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 		Shard:     &spec,
 	}
 	sr := shardResult{idx: idx, spec: spec}
+	failed := make(map[*client]bool) // the workers this shard failed on
 	for attempt := 0; ; attempt++ {
-		var cl *client
-		select {
-		case cl = <-c.slots:
-		case <-ctx.Done():
-			sr.err = ctx.Err()
+		cl, err := c.idle.take(ctx, failed)
+		if err != nil {
+			sr.err = err
 			c.results <- sr
 			return
 		}
 		out, err := cl.runShard(ctx, req)
-		c.slots <- cl // rotation: the next attempt prefers a different worker
+		c.idle.put(cl)
 		if err == nil {
 			if err := c.journal.commitShard(idx, spec, out); err != nil {
 				sr.err = fmt.Errorf("fleet: journaling shard %d: %w", idx, err)
@@ -463,6 +404,7 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 			c.results <- sr
 			return
 		}
+		failed[cl] = true
 		sr.retries++
 		delay := backoffDelay(attempt, c.cfg.BackoffBase, c.cfg.BackoffCap, err)
 		c.cfg.Logf("fleet: shard %d attempt %d on %s failed (%v); retrying in %s", idx, attempt+1, cl.base, err, delay)
@@ -476,83 +418,25 @@ func (c *coordinator) dispatch(ctx context.Context, idx int, spec explore.ShardS
 	}
 }
 
-// absorb folds one completed shard into the global result, run by run in
-// local order: assert the worker's indices, re-index into global order,
-// recompute NewGraph against the global census, feed the run to the
-// strategy, stamp the strategy's running stats, and strip the wire-only
-// feedback fields — after which each RunResult is exactly what the
-// single-process coordinator would have emitted.
+// absorb folds one completed shard into the Result, run by run in
+// global order: each run must carry its local index, which is rewritten
+// to the global one before the fold takes it. The shard's metrics
+// snapshot comes with its last run.
 func (c *coordinator) absorb(sr shardResult) error {
-	cr, _ := c.strategy.(explore.CoverageReporter)
+	last := len(sr.out.Runs) - 1
 	for j, rr := range sr.out.Runs {
 		if rr.Index != j {
 			return fmt.Errorf("fleet: shard %d run %d arrived with local index %d", sr.idx, j, rr.Index)
 		}
-		fb, err := feedbackOf(rr)
-		if err != nil {
+		rr.Index = sr.spec.Start + j
+		var snap *trace.Snapshot
+		if j == last {
+			snap = sr.out.Metrics
+		}
+		if err := c.fold.Add(rr, snap); err != nil {
 			return fmt.Errorf("fleet: shard %d: %w", sr.idx, err)
 		}
-		rr.Index = sr.spec.Start + j
-		rr.NewGraph = !c.seen[rr.Fingerprint]
-		c.seen[rr.Fingerprint] = true
-		rr.NewGraphs = len(c.seen)
-		fb.Index, fb.NewGraph = rr.Index, rr.NewGraph
-		c.strategy.Observe(fb)
 		c.observed++
-		if cr != nil {
-			st := cr.CoverageStats()
-			rr.CorpusSize = st.CorpusSize
-			rr.PrunedPicks = st.PrunedPicks
-		}
-		rr.Domains, rr.Independent = nil, nil
-		c.res.Runs = append(c.res.Runs, rr)
-		if c.cfg.Progress != nil {
-			c.cfg.Progress(rr)
-		}
-	}
-	if sr.out.Metrics != nil && c.cfg.Plan.Metrics {
-		if c.res.Metrics == nil {
-			c.res.Metrics = &trace.Snapshot{}
-		}
-		c.res.Metrics.Merge(sr.out.Metrics)
 	}
 	return nil
-}
-
-// feedbackOf rebuilds the strategy feedback a worker's run line carries:
-// what the local coordinator hands Observe straight from the run's
-// chooser. The token trims trailing default picks, so its picks are
-// padded back to one per recorded domain. A line that cannot be a real
-// recording is an error, never a panic — client.stream checks every
-// line with it, so a bad worker fails its attempt, not the coordinator.
-func feedbackOf(rr explore.RunResult) (explore.Feedback, error) {
-	sched, err := explore.ParseToken(rr.Token)
-	if err != nil {
-		return explore.Feedback{}, fmt.Errorf("run %d: %w", rr.Index, err)
-	}
-	if len(rr.Independent) != len(rr.Domains) {
-		return explore.Feedback{}, fmt.Errorf("run %d: %d independence flags for %d domains", rr.Index, len(rr.Independent), len(rr.Domains))
-	}
-	if len(sched.Picks) > len(rr.Domains) {
-		return explore.Feedback{}, fmt.Errorf("run %d: token has %d picks for %d domains", rr.Index, len(sched.Picks), len(rr.Domains))
-	}
-	picks := make([]int, len(rr.Domains))
-	copy(picks, sched.Picks)
-	for pos, d := range rr.Domains {
-		if picks[pos] >= d {
-			return explore.Feedback{}, fmt.Errorf("run %d: pick %d outside domain %d at position %d", rr.Index, picks[pos], d, pos)
-		}
-	}
-	return explore.Feedback{
-		Index:       rr.Index,
-		Token:       rr.Token,
-		Picks:       picks,
-		Domains:     rr.Domains,
-		Independent: rr.Independent,
-		Fingerprint: rr.Fingerprint,
-		NewGraph:    rr.NewGraph,
-		Warnings:    rr.Warnings,
-		Err:         rr.Err,
-		Ticks:       rr.Ticks,
-	}, nil
 }

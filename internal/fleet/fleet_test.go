@@ -48,30 +48,13 @@ func singleProcess(t *testing.T, p Plan) *explore.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strat, err := explore.StrategyFor(p.Strategy, explore.StrategyParams{
-		Seed:       p.Seed,
-		DelayBound: p.DelayBound,
-		POR:        p.POR,
-	})
+	_, opts, err := p.Options()
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds, err := explore.ParseKinds(p.Kinds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := []explore.Option{
-		explore.WithRuns(p.Runs),
-		explore.WithSeed(p.Seed),
-		explore.WithStrategy(strat),
-		explore.WithKinds(kinds...),
-		explore.WithWorkers(2),
-	}
+	opts = append(opts, explore.WithWorkers(2))
 	if p.Metrics {
 		opts = append(opts, explore.WithRunMetrics())
-	}
-	if p.Chains {
-		opts = append(opts, explore.WithChains())
 	}
 	res, err := explore.Run(context.Background(), target, opts...)
 	if err != nil {
@@ -94,11 +77,11 @@ func checkIdentical(t *testing.T, got, want *explore.Result) {
 // byte-identical to a single-process run of the same plan.
 func TestFleetMatchesSingleProcess(t *testing.T) {
 	plans := []Plan{
-		{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16},
-		{Target: caseTarget, Strategy: explore.StrategyDelay, Seed: 7, Runs: 16, DelayBound: 2},
-		{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 40},
-		{Target: caseTarget, Strategy: explore.StrategyExhaustive, Seed: 1, Runs: 60, Kinds: "io-order,latency"},
-		{Target: caseTarget, Strategy: explore.StrategyExhaustive, Seed: 1, Runs: 60, Kinds: "io-order,latency", POR: true},
+		{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16}},
+		{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyDelay, Seed: 7, Runs: 16, DelayBound: 2}},
+		{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 40}},
+		{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyExhaustive, Seed: 1, Runs: 60, Kinds: "io-order,latency"}},
+		{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyExhaustive, Seed: 1, Runs: 60, Kinds: "io-order,latency", POR: true}},
 	}
 	workers := startWorkers(t, 2)
 	for _, p := range plans {
@@ -140,7 +123,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 // TestFleetMetrics checks the metrics snapshots merge across shards to
 // the same aggregate a single process accumulates run by run.
 func TestFleetMetrics(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 12, ShardRuns: 4, Metrics: true}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 12}, ShardRuns: 4, Metrics: true}
 	want := singleProcess(t, p)
 	if want.Metrics == nil {
 		t.Fatal("reference run has no metrics snapshot")
@@ -158,7 +141,7 @@ func TestFleetMetrics(t *testing.T) {
 // must stay byte-identical to a single-process explore.Run of the same
 // plan with WithChains.
 func TestFleetChainsMatchSingleProcess(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16, ShardRuns: 5, Chains: true}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16, Chains: true}, ShardRuns: 5}
 	want := singleProcess(t, p)
 	chained := 0
 	for _, ws := range want.Warnings {
@@ -180,7 +163,7 @@ func TestFleetChainsMatchSingleProcess(t *testing.T) {
 // shard must load from disk, none may re-dispatch, and the Result must
 // be unchanged.
 func TestFleetResumeCompletedJournal(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 24, ShardRuns: 5}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyCoverage, Seed: 11, Runs: 24}, ShardRuns: 5}
 	workers := startWorkers(t, 2)
 	dir := t.TempDir()
 	res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
@@ -202,7 +185,7 @@ func TestFleetResumeCompletedJournal(t *testing.T) {
 // shards must load from the journal, the rest re-run, and the final
 // Result must match a single-process run.
 func TestFleetResumeAfterCancel(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16, ShardRuns: 2}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16}, ShardRuns: 2}
 	workers := startWorkers(t, 2)
 	dir := t.TempDir()
 
@@ -245,8 +228,7 @@ func TestFleetResumeExhaustive(t *testing.T) {
 	workers := startWorkers(t, 2)
 	for _, por := range []bool{false, true} {
 		for _, width := range []int{2, 3} {
-			p := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60,
-				Kinds: "io-order,latency", POR: por, ShardRuns: width}
+			p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60, Kinds: "io-order,latency", POR: por}, ShardRuns: width}
 			t.Run(fmt.Sprintf("por=%v-w%d", por, width), func(t *testing.T) {
 				dir := t.TempDir()
 				res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
@@ -296,7 +278,7 @@ func TestFleetRejectsBadRunLines(t *testing.T) {
 	}))
 	defer fake.Close()
 
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60, Kinds: "io-order,latency", ShardRuns: 3}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyExhaustive, Runs: 60, Kinds: "io-order,latency"}, ShardRuns: 3}
 	live := startWorkers(t, 1)
 	res, stats, err := Run(context.Background(), Config{
 		Plan:        p,
@@ -324,7 +306,7 @@ func TestFleetRejectsBadRunLines(t *testing.T) {
 // TestFleetResumeRejectsOldJournal: a journal written before shard
 // headers carried RunPlans must not resume.
 func TestFleetResumeRejectsOldJournal(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4, ShardRuns: 2}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4}, ShardRuns: 2}
 	dir := t.TempDir()
 	old := fmt.Sprintf(`{"version":1,"plan":%s}`, mustJSON(p.withDefaults()))
 	if err := os.WriteFile(filepath.Join(dir, "plan.json"), []byte(old), 0o644); err != nil {
@@ -347,7 +329,7 @@ func TestFleetDeadWorkerReassignment(t *testing.T) {
 	deadURL := "http://" + ln.Addr().String()
 	ln.Close()
 
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 8, ShardRuns: 2}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 8}, ShardRuns: 2}
 	live := startWorkers(t, 1)
 	res, stats, err := Run(context.Background(), Config{
 		Plan:        p,
@@ -366,6 +348,39 @@ func TestFleetDeadWorkerReassignment(t *testing.T) {
 	checkIdentical(t, res, singleProcess(t, p))
 }
 
+// TestIdleWorkersAvoidFailed: a retry waits for a worker its shard has
+// not failed on, even while the failed one sits idle, and takes any
+// idle worker once the shard has failed on every one.
+func TestIdleWorkersAvoidFailed(t *testing.T) {
+	dead, live := newClient("http://dead", time.Second), newClient("http://live", time.Second)
+	w := &idleWorkers{all: 2, idle: []*client{dead}, freed: make(chan struct{})} // live is busy
+	got := make(chan *client)
+	go func() {
+		cl, err := w.take(context.Background(), map[*client]bool{dead: true})
+		if err != nil {
+			t.Error(err)
+		}
+		got <- cl
+	}()
+	select {
+	case cl := <-got:
+		t.Fatalf("took %s while only the failed worker was idle", cl.base)
+	case <-time.After(20 * time.Millisecond):
+	}
+	w.put(live)
+	if cl := <-got; cl != live {
+		t.Fatalf("took %s, want the live worker once it came back", cl.base)
+	}
+	if cl, err := w.take(context.Background(), map[*client]bool{dead: true, live: true}); err != nil || cl != dead {
+		t.Fatalf("failed on every worker: took %v (err %v), want the idle dead worker", cl, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.take(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("take with no idle worker and a cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestFleetAllWorkersDead: with no live worker the run must fail after
 // MaxAttempts, keeping the journal for a later resume.
 func TestFleetAllWorkersDead(t *testing.T) {
@@ -376,7 +391,7 @@ func TestFleetAllWorkersDead(t *testing.T) {
 	deadURL := "http://" + ln.Addr().String()
 	ln.Close()
 
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4, ShardRuns: 2}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4}, ShardRuns: 2}
 	dir := t.TempDir()
 	_, _, err = Run(context.Background(), Config{
 		Plan:        p,
@@ -398,7 +413,7 @@ func TestFleetAllWorkersDead(t *testing.T) {
 // (dropping its done line): resume must re-dispatch exactly that shard
 // and still produce the identical Result.
 func TestJournalIgnoresIncompleteShard(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 12, ShardRuns: 4}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 12}, ShardRuns: 4}
 	workers := startWorkers(t, 2)
 	dir := t.TempDir()
 	res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
@@ -431,7 +446,7 @@ func TestJournalIgnoresIncompleteShard(t *testing.T) {
 // holds a journal, and a resume refuses a plan that differs from the
 // journaled one.
 func TestFleetJournalSafety(t *testing.T) {
-	p := Plan{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4, ShardRuns: 2}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 4}, ShardRuns: 2}
 	workers := startWorkers(t, 1)
 	dir := t.TempDir()
 	if _, _, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir}); err != nil {

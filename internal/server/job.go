@@ -24,31 +24,17 @@ const (
 	statusFailed    jobStatus = "failed"
 )
 
-// jobSpec is the POST /v1/jobs request body. Zero values defer to the
-// explore package defaults (32 runs, random strategy, GOMAXPROCS
-// workers), mirroring the asyncg explore flags.
+// jobSpec is the POST /v1/jobs request body: the exploration's
+// explore.Spec (target, strategy, runs, seed, kinds, delayBound, por,
+// chains, debugStacks) plus how this service runs it. Zero values defer
+// to the explore package defaults (32 runs, random strategy, GOMAXPROCS
+// workers), mirroring the asyncg explore flags. Fleet shard jobs leave
+// chains unset — the coordinator attaches chains once, after the merge.
 type jobSpec struct {
-	// Target is a registry spec resolved through explore.TargetByName
-	// (see GET /v1/targets).
-	Target string `json:"target"`
-	// Strategy is random, delay, exhaustive, or coverage (empty = random).
-	Strategy string `json:"strategy,omitempty"`
-	// Runs bounds the number of schedules (0 = 32).
-	Runs int `json:"runs,omitempty"`
-	// Seed feeds the random/delay strategies.
-	Seed int64 `json:"seed,omitempty"`
+	explore.Spec
 	// Workers is the per-job schedule concurrency (0 = GOMAXPROCS);
 	// results are identical for any value.
 	Workers int `json:"workers,omitempty"`
-	// DelayBound caps non-default picks for the delay strategy (0 = 2).
-	DelayBound int `json:"delayBound,omitempty"`
-	// POR enables partial-order reduction for the exhaustive strategy:
-	// sibling branches proven equivalent by independence metadata are
-	// pruned (Result.PrunedPicks counts the skipped picks).
-	POR bool `json:"por,omitempty"`
-	// Kinds restricts the perturbed choice kinds, comma-separated like
-	// the CLI flag (empty = the default kinds).
-	Kinds string `json:"kinds,omitempty"`
 	// TimeoutMs overrides the server's default per-job deadline; capped
 	// at the server default when that is set.
 	TimeoutMs int64 `json:"timeoutMs,omitempty"`
@@ -65,24 +51,12 @@ type jobSpec struct {
 	// independent), from which the coordinator rebuilds the strategy's
 	// feedback.
 	Shard *explore.ShardSpec `json:"shard,omitempty"`
-	// Chains attaches async causal chains to the classified warnings
-	// (explore.WithChains): the explore-warning stream lines and the
-	// /v1/jobs/{id}/result warnings carry a "chain" field, additively.
-	// Fleet shard jobs leave this unset — the coordinator attaches
-	// chains once, after the merge.
-	Chains bool `json:"chains,omitempty"`
-	// DebugStacks runs the witness replays behind chains under
-	// creation-stack capture (explore.WithDebugStacks), so chain hops
-	// carry the Go call site that created each node; the explored
-	// schedules never capture stacks. No effect without chains.
-	DebugStacks bool `json:"debugStacks,omitempty"`
 }
 
 // job is one submitted exploration: the resolved target and options,
 // the live NDJSON stream, and the terminal result.
 type job struct {
 	id      string
-	spec    jobSpec
 	target  explore.Target
 	opts    []explore.Option
 	timeout time.Duration

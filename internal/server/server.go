@@ -18,6 +18,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -314,7 +315,6 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	var strat explore.Strategy
 	if spec.Shard != nil {
 		// A shard job's walk is fully determined by the shard's plans;
 		// outer strategy parameters would silently disagree with them, so
@@ -326,23 +326,24 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 			return nil, fmt.Errorf("server: runs %d conflicts with shard window of %d runs", spec.Runs, len(spec.Shard.Plans))
 		}
 		spec.Runs = len(spec.Shard.Plans)
-		strat, err = explore.ShardStrategy(*spec.Shard)
-	} else {
-		strat, err = explore.StrategyFor(spec.Strategy, explore.StrategyParams{
-			Seed:       spec.Seed,
-			DelayBound: spec.DelayBound,
-			POR:        spec.POR,
-		})
 	}
+	_, opts, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
-	kinds, err := explore.ParseKinds(spec.Kinds)
-	if err != nil {
-		return nil, err
+	if spec.Shard != nil {
+		strat, err := explore.ShardStrategy(*spec.Shard)
+		if err != nil {
+			return nil, err
+		}
+		// The shard's plans replace the spec's strategy, and the
+		// coordinator rebuilds each run's strategy feedback from the
+		// record WithRunFeedback adds to its run line.
+		opts = append(opts, explore.WithStrategy(strat), explore.WithRunFeedback())
 	}
-	if spec.Runs < 0 {
-		return nil, fmt.Errorf("server: negative runs %d", spec.Runs)
+	opts = append(opts, explore.WithWorkers(spec.Workers))
+	if !spec.NoMetrics {
+		opts = append(opts, explore.WithRunMetrics())
 	}
 	timeout := s.cfg.JobTimeout
 	if spec.TimeoutMs > 0 {
@@ -350,29 +351,8 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 			timeout = t
 		}
 	}
-	opts := []explore.Option{
-		explore.WithRuns(spec.Runs),
-		explore.WithSeed(spec.Seed),
-		explore.WithStrategy(strat),
-		explore.WithKinds(kinds...),
-		explore.WithWorkers(spec.Workers),
-	}
-	if !spec.NoMetrics {
-		opts = append(opts, explore.WithRunMetrics())
-	}
-	if spec.Shard != nil {
-		// The coordinator rebuilds each run's strategy feedback from it.
-		opts = append(opts, explore.WithRunFeedback())
-	}
-	if spec.Chains {
-		opts = append(opts, explore.WithChains())
-	}
-	if spec.DebugStacks {
-		opts = append(opts, explore.WithDebugStacks())
-	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	return &job{
-		spec:    spec,
 		target:  tg,
 		opts:    opts,
 		timeout: timeout,
@@ -389,26 +369,8 @@ func (s *Server) buildJob(spec jobSpec) (*job, error) {
 // either return 202 immediately or, with ?wait=1, block until the job
 // finishes — cancelling it if the client disconnects first.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec jobSpec
-	dec := json.NewDecoder(r.Body)
-	// Unknown fields are refused, and the offending field is named in the
-	// response body: a version-skewed fleet coordinator must fail fast,
-	// not silently run a default-configured job.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		if field, ok := unknownFieldOf(err); ok {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("invalid job spec: unknown field %q", field),
-				"field": field,
-			})
-			return
-		}
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
-		return
-	}
-	j, err := s.buildJob(spec)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+	j := s.parseJob(w, r.Body)
+	if j == nil {
 		return
 	}
 
@@ -460,6 +422,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, accepted)
+}
+
+// parseJob decodes and validates a POST /v1/jobs body into a runnable
+// job. A refused body gets its 400 written to w, and parseJob returns
+// nil.
+func (s *Server) parseJob(w http.ResponseWriter, body io.Reader) *job {
+	var spec jobSpec
+	dec := json.NewDecoder(body)
+	// Unknown fields are refused, and the offending field is named in the
+	// response body: a version-skewed fleet coordinator must fail fast,
+	// not silently run a default-configured job.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		if field, ok := unknownFieldOf(err); ok {
+			writeJSON(w, http.StatusBadRequest, map[string]any{
+				"error": fmt.Sprintf("invalid job spec: unknown field %q", field),
+				"field": field,
+			})
+			return nil
+		}
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("invalid job spec: %v", err))
+		return nil
+	}
+	j, err := s.buildJob(spec)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return nil
+	}
+	return j
 }
 
 // handleList is GET /v1/jobs: every job in submission order, without

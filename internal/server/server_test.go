@@ -807,3 +807,62 @@ func TestHealthzJobCounts(t *testing.T) {
 		t.Errorf("healthz pool counts: %+v", health)
 	}
 }
+
+// jobBodies are the POST /v1/jobs bodies the tests above send, accepted
+// and refused alike, plus the body the benchmark's serve workload sends
+// and a fleet coordinator's shard body.
+var jobBodies = []string{
+	`{"target":"case:SO-17894000","runs":8,"seed":3}`,
+	`{"target":"case:fig4","runs":4,"seed":1,"chains":true}`,
+	`{"target":"case:SO-17894000","runs":6,"seed":1}`,
+	`{"target":"spin","runs":2}`,
+	`{"target":"spin","runs":2,"timeoutMs":100}`,
+	`{"target":"case:SO-17894000","runs":4}`,
+	`{"target":"case:SO-17894000"}`,
+	`{"target":"panic","runs":2}`,
+	`{"target":"panic","runs":4,"workers":4}`,
+	`{"target":"case:SO-17894000","runs":2}`,
+	`not json`,
+	`{"target":""}`,
+	`{"target":"case:no-such-case"}`,
+	`{"target":"case:SO-17894000","strategy":"bogus"}`,
+	`{"target":"case:SO-17894000","kinds":"bogus-kind"}`,
+	`{"target":"case:SO-17894000","runs":-1}`,
+	`{"target":"x","runs":3,"workers":1}`,
+	`{"target":"case:SO-17894000","shardSeed":9}`,
+	`{"target":"case:SO-17894000","shard":{"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]}}`,
+	`{"target":"case:SO-17894000","strategy":"random","shard":{"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","seed":7,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","runs":5,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","shard":{"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
+	`{"target":"case:SO-17894000","feedback":true,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","shard":{"strategy":"random","start":0,"runs":2}}`,
+	`{"target":"case:SO-38140113","runs":64,"workers":2,"chains":true}`,
+	`{"target":"case:SO-17894000","kinds":"io-order,latency","noMetrics":true,"shard":{"start":3,"plans":[{"walk":"exhaustive","picks":[0,1]},{"walk":"coverage","seed":12,"corpus":2,"picks":[1]}]}}`,
+}
+
+// FuzzJobSpec drives the job decoder — JSON decoding into jobSpec and
+// its embedded explore.Spec, then buildJob — with arbitrary bodies.
+// Every body must come out as an accepted job or a 4xx refusal; none
+// may panic or answer 5xx.
+func FuzzJobSpec(f *testing.F) {
+	for _, body := range jobBodies {
+		f.Add([]byte(body))
+	}
+	s := New(Config{QueueSize: 1, Workers: 1})
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		j := s.parseJob(rec, bytes.NewReader(body))
+		if j == nil {
+			if rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("refused body %q answered %d, want a 4xx", body, rec.Code)
+			}
+			return
+		}
+		j.cancel()
+		if rec.Body.Len() != 0 {
+			t.Fatalf("accepted body %q also wrote a response: %s", body, rec.Body.Bytes())
+		}
+	})
+}
