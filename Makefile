@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke fig6-smoke bench-record bench-gate bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke fig6-smoke bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
 
-# Tier-1 verify: build, vet, formatting, tests.
+# Tier-1 verify: build, vet, formatting, tests. The tests include the
+# allocation gate, internal/explore's TestAllocBudget.
 verify: build vet fmt-check test
 
 build:
@@ -41,17 +42,21 @@ race-explore:
 	$(GO) test -race ./internal/explore/...
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 
-# Short native-fuzzing passes over three decoders. Shard wire specs must
+# Short native-fuzzing passes over five decoders. Schedule tokens that
+# parse must re-encode to the same picks. Shard wire specs must
 # validate or fail cleanly, never panic, and accepted ones must run one
-# schedule per plan with replayable tokens. Job bodies must come out as
-# an accepted job or a 4xx, never a panic or a 5xx. Async Graph logs must be
-# rejected or render as DOT and SVG, and re-serialize stably; their
-# seeds are the case corpus' graphs, some over 100 KB, so minimizing a
-# new input is capped at 2 s to leave the budget for fuzzing. Crashers
-# land in the package's testdata/fuzz/ and are committed as regression
-# seeds.
+# schedule per plan with replayable tokens. Journaled shard files must
+# be refused or hold one valid, in-order run per plan. Job bodies must
+# come out as an accepted job or a 4xx, never a panic or a 5xx. Async
+# Graph logs must be rejected or render as DOT and SVG, and re-serialize
+# stably; their seeds are the case corpus' graphs, some over 100 KB, so
+# minimizing a new input is capped at 2 s to leave the budget for
+# fuzzing. Crashers land in the package's testdata/fuzz/ and are
+# committed as regression seeds.
 fuzz-smoke:
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 10s
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardFile$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s
 
@@ -90,20 +95,6 @@ race-fleet:
 # hard-stop, and goroutine-leak checks.
 race-server:
 	$(GO) test -race -count=1 ./internal/server/...
-
-# Record the sequential-vs-parallel exploration benchmarks into
-# BENCH_explore.json (ns/op, allocs/op, schedules/sec, speedup).
-# See EXPERIMENTS.md §Recording benchmarks for the schema.
-bench-record:
-	$(GO) run ./cmd/asyncg bench -out BENCH_explore.json
-
-# Allocation gate: re-measure the exploration benchmarks quickly (3
-# iterations suffice — allocs/op is iteration-stable, unlike ns/op on a
-# shared box) and fail if any benchmark's allocs/op regressed more than
-# the tolerance past the committed BENCH_explore.json. The fresh
-# measurement lands in BENCH_explore.ci.json for CI to upload.
-bench-gate:
-	$(GO) run ./cmd/asyncg bench -benchtime 3x -out BENCH_explore.ci.json -gate BENCH_explore.json
 
 # The benchmark module's own correctness checks (about 5 s): served
 # results byte-identical to direct runs, 1- vs 2-worker identity, and

@@ -14,8 +14,6 @@ package asyncg_test
 //	go test -bench=. -benchmem
 
 import (
-	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +26,6 @@ import (
 	"asyncg/internal/eventloop"
 	"asyncg/internal/events"
 	"asyncg/internal/experiments"
-	"asyncg/internal/explore"
 	"asyncg/internal/loc"
 	"asyncg/internal/mongosim"
 	"asyncg/internal/promise"
@@ -196,42 +193,6 @@ func BenchmarkAblationDetectorsOnly(b *testing.B) {
 		l.Probes().Attach(detect.NewAnalyzer(builder, detect.DefaultConfig()))
 	})
 }
-
-// --- Schedule exploration --------------------------------------------
-
-// benchExplore measures schedule exploration with a fixed worker count;
-// one op explores 64 schedules of the paper's schedule-dependent
-// listener case, so ns/op is directly comparable between the
-// sequential and parallel configurations (the benchio harness records
-// the same pair into BENCH_explore.json).
-func benchExplore(b *testing.B, workers int) {
-	b.Helper()
-	b.ReportAllocs()
-	tg, err := explore.CaseTargetByID("SO-17894000", false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const runs = 64
-	for i := 0; i < b.N; i++ {
-		res, err := explore.Run(context.Background(), tg,
-			explore.WithRuns(runs), explore.WithSeed(1), explore.WithWorkers(workers))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Runs) != runs {
-			b.Fatalf("explored %d/%d schedules", len(res.Runs), runs)
-		}
-	}
-	b.ReportMetric(float64(runs*b.N)/b.Elapsed().Seconds(), "schedules/sec")
-}
-
-// BenchmarkExploreSeq is the sequential exploration baseline.
-func BenchmarkExploreSeq(b *testing.B) { benchExplore(b, 1) }
-
-// BenchmarkExplorePar explores with one worker per CPU; each worker
-// owns an isolated event loop, VM, builder, and scheduler, so the
-// speedup over BenchmarkExploreSeq tracks available cores.
-func BenchmarkExplorePar(b *testing.B) { benchExplore(b, runtime.GOMAXPROCS(0)) }
 
 // --- Substrate micro-benchmarks --------------------------------------
 

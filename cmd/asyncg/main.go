@@ -22,10 +22,6 @@
 //	asyncg explore -case SO-17894000   explore the case's schedule space
 //	asyncg explore -case SO-17894000 -replay <token>
 //	                                   replay one recorded schedule
-//	asyncg bench -out BENCH_explore.json
-//	                                   record the exploration benchmarks
-//	asyncg bench -compare old.json,new.json
-//	                                   diff two benchmark recordings
 //	asyncg serve -addr 127.0.0.1:8321  run the HTTP analysis service
 //	                                   (POST /v1/jobs, NDJSON streams)
 //	asyncg fleet -workers <urls> -target <spec>
@@ -58,9 +54,6 @@ func main() {
 		switch os.Args[1] {
 		case "explore":
 			os.Exit(runExplore(os.Args[2:]))
-		case "bench":
-			runBench(os.Args[2:])
-			return
 		case "serve":
 			os.Exit(runServe(os.Args[2:]))
 		case "fleet":

@@ -1,0 +1,79 @@
+package explore
+
+import (
+	"context"
+	"fmt"
+	"testing"
+)
+
+// raceEnabled is set by race_test.go in a -race build.
+var raceEnabled bool
+
+// allocTolerance is how far a measured count may exceed its budget.
+const allocTolerance = 0.25
+
+// allocWorkload is one exploration TestAllocBudget measures. The budgets
+// are heap allocations per schedule at 1 and 2 workers: each is the
+// median of ten runs of TestAllocBudget (-count=10 -v) on the commit
+// that recorded it.
+type allocWorkload struct {
+	name     string
+	target   string
+	runs     int
+	strategy func() Strategy // a Strategy serves one exploration
+	// ops is how many explorations one measurement averages. Two
+	// workers share one P while testing.AllocsPerRun measures, so a
+	// worker descheduled mid-run lets the other plan far ahead, and each
+	// run parked out of order takes a chooser of its own. The cheap
+	// case-study walks average over several explorations so that one
+	// such exploration does not decide the gate.
+	ops    int
+	budget [2]float64
+}
+
+// allocWorkloads are bench/'s three explore workloads — target,
+// strategy and run budget as in bench/workloads.go, every seed 1 — and
+// a coverage walk of the case study.
+var allocWorkloads = []allocWorkload{
+	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, [2]float64{20.01, 23.04}},
+	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, [2]float64{3710.76, 3987.39}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, [2]float64{2804.23, 2894.73}},
+	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, [2]float64{22.94, 23.65}},
+}
+
+// TestAllocBudget is the allocation gate: every exploration, runner
+// set-up included, must allocate no more than its budget per schedule,
+// with allocTolerance of slack. Allocation counts do not depend on the
+// host's speed, so unlike wall time they can be gated on a shared
+// machine; two workers vary with how the runs interleave, hence the
+// slack. The race detector allocates on its own account, so a -race
+// build skips the gate.
+func TestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	for _, w := range allocWorkloads {
+		tg, err := TargetByName(w.target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(t *testing.T) {
+				schedules := 0
+				perOp := testing.AllocsPerRun(w.ops, func() {
+					res, err := Run(context.Background(), tg,
+						WithRuns(w.runs), WithWorkers(workers), WithStrategy(w.strategy()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					schedules = len(res.Runs)
+				})
+				got, limit := perOp/float64(schedules), w.budget[i]*(1+allocTolerance)
+				t.Logf("%.2f allocs/schedule over %d schedules (budget %.2f, limit %.2f)", got, schedules, w.budget[i], limit)
+				if got > limit {
+					t.Errorf("%.2f allocs/schedule, over the budget of %.2f by more than %.0f%%", got, w.budget[i], allocTolerance*100)
+				}
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +138,33 @@ func TestTokenRoundTrip(t *testing.T) {
 	if _, err := ParseToken("s1.!!!"); err == nil {
 		t.Fatal("ParseToken accepted invalid base64")
 	}
+}
+
+// FuzzParseToken: a token that parses re-encodes to a token that parses
+// to the same picks, trailing zeros trimmed.
+func FuzzParseToken(f *testing.F) {
+	for _, tok := range []string{"s1.", "s1.AQ", "s1.AQM", "s1.AA", "s1.gAE", "s1.gICAgAg", "s1.!!!", "bogus", ""} {
+		f.Add(tok)
+	}
+	f.Add(Schedule{Picks: []int{3, 0, 1 << 31, 2, 0, 0}}.Token())
+	f.Fuzz(func(t *testing.T, tok string) {
+		s, err := ParseToken(tok)
+		if err != nil {
+			return
+		}
+		want := s.Picks
+		for len(want) > 0 && want[len(want)-1] == 0 {
+			want = want[:len(want)-1]
+		}
+		again := s.Token()
+		back, err := ParseToken(again)
+		if err != nil {
+			t.Fatalf("%q parsed to %v, whose token %q does not parse: %v", tok, s.Picks, again, err)
+		}
+		if !slices.Equal(back.Picks, want) {
+			t.Fatalf("%q parsed to %v, whose token %q parses to %v, want %v", tok, s.Picks, again, back.Picks, want)
+		}
+	})
 }
 
 // TestReplayDeterminism is the replay-fidelity property of the

@@ -119,7 +119,8 @@ type pool struct {
 
 // runPool executes the exploration f was started with, up to Workers
 // runs in flight, the caller being one of the workers, and folds every
-// run into f in index order.
+// run into f in index order. It starts no more workers than there are
+// runs: a worker past the run budget would never plan one.
 func runPool(ctx context.Context, t Target, f *Fold) error {
 	// The internal cancel lets a panic stop the exploration the same way
 	// an external cancel does (halt planning, interrupt in-flight runs
@@ -130,7 +131,7 @@ func runPool(ctx context.Context, t Target, f *Fold) error {
 	p.handedIn.L = &p.mu
 
 	var wg sync.WaitGroup
-	for w := 1; w < p.cfg.Workers; w++ {
+	for w := 1; w < min(p.cfg.Workers, p.cfg.Runs); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -71,6 +71,26 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
+// TestWorkersCappedAtRuns: a pool asked for more workers than runs
+// starts one worker, and so one runner, per run, and its Result is the
+// sequential one.
+func TestWorkersCappedAtRuns(t *testing.T) {
+	tg := caseTarget(t, "SO-17894000")
+	want := resultJSON(t, mustRun(t, tg, WithRuns(3), WithSeed(5), WithWorkers(1)))
+	var runners atomic.Int32
+	counted := tg
+	counted.NewRunner = func() Runner {
+		runners.Add(1)
+		return tg.NewRunner()
+	}
+	if got := resultJSON(t, mustRun(t, counted, WithRuns(3), WithSeed(5), WithWorkers(1000))); got != want {
+		t.Errorf("1000 workers: Result JSON differs from sequential\nseq: %s\npar: %s", want, got)
+	}
+	if n := runners.Load(); n != 3 {
+		t.Errorf("1000 workers for 3 runs created %d runners, want 3", n)
+	}
+}
+
 // TestPanicBecomesError: a panicking target fails the exploration with
 // an error instead of killing the process — critically on the pool's
 // spawned workers, where an unrecovered panic cannot be caught by any

@@ -206,6 +206,21 @@ type shardOutput struct {
 	Metrics *trace.Snapshot
 }
 
+// addRun appends the shard's next run line if it passes the checks a
+// run line gets whether it is streamed or read back from the journal:
+// locally indexed in order, and a well-formed recording (see
+// explore.RunResult.Feedback).
+func (o *shardOutput) addRun(rr explore.RunResult) error {
+	if rr.Index != len(o.Runs) {
+		return fmt.Errorf("run index %d out of order (want %d)", rr.Index, len(o.Runs))
+	}
+	if _, err := rr.Feedback(); err != nil {
+		return fmt.Errorf("bad run line: %v", err)
+	}
+	o.Runs = append(o.Runs, rr)
+	return nil
+}
+
 // wireLine decodes any stream line: kind discriminates, run fields
 // arrive through the embedded RunResult, and summary lines additionally
 // carry the run count and merged metrics.
@@ -217,8 +232,7 @@ type wireLine struct {
 }
 
 // stream follows the job's NDJSON to completion and validates the
-// shard's shape: exactly one run line per plan, locally indexed in
-// order, each a well-formed recording (see explore.RunResult.Feedback),
+// shard's shape: exactly one run line per plan, each passing addRun,
 // closed by an explore-summary. A stream that ends early (worker died,
 // job failed or was cancelled) or carries a bad line is an error — the
 // caller reassigns, and nothing reaches the journal.
@@ -246,13 +260,9 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 		}
 		switch line.Kind {
 		case explore.KindRun:
-			if line.Index != len(out.Runs) {
-				return nil, fmt.Errorf("fleet: %s: run index %d out of order (want %d)", c.base, line.Index, len(out.Runs))
+			if err := out.addRun(line.RunResult); err != nil {
+				return nil, fmt.Errorf("fleet: %s: %v", c.base, err)
 			}
-			if _, err := line.Feedback(); err != nil {
-				return nil, fmt.Errorf("fleet: %s: bad run line: %v", c.base, err)
-			}
-			out.Runs = append(out.Runs, line.RunResult)
 		case explore.KindSummary:
 			summarySeen = true
 			out.Metrics = line.Metrics

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -409,11 +410,12 @@ func TestFleetAllWorkersDead(t *testing.T) {
 	}
 }
 
-// TestJournalIgnoresIncompleteShard truncates one committed shard file
-// (dropping its done line): resume must re-dispatch exactly that shard
+// TestJournalIgnoresIncompleteShard damages three of four committed
+// shard files: one loses its done line, one a run's token, and one has
+// its runs out of order. Resume must re-dispatch exactly those shards
 // and still produce the identical Result.
 func TestJournalIgnoresIncompleteShard(t *testing.T) {
-	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 12}, ShardRuns: 4}
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 16}, ShardRuns: 4}
 	workers := startWorkers(t, 2)
 	dir := t.TempDir()
 	res1, stats1, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir})
@@ -421,25 +423,96 @@ func TestJournalIgnoresIncompleteShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "shard-0001.ndjson")
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Each damage leaves a file a worker's stream would have been
+	// refused for; the done lines of the last two stay intact.
+	token := regexp.MustCompile(`"token":"[^"]*"`)
+	damage := map[string]func(lines []string) []string{
+		"shard-0001.ndjson": func(lines []string) []string { return lines[:len(lines)-1] }, // truncated
+		"shard-0002.ndjson": func(lines []string) []string { // a corrupted token
+			lines[2] = token.ReplaceAllString(lines[2], `"token":"zz.AgIB"`)
+			return lines
+		},
+		"shard-0003.ndjson": func(lines []string) []string { // runs out of order
+			lines[1], lines[2] = lines[2], lines[1]
+			return lines
+		},
 	}
-	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")
-	truncated := strings.Join(lines[:len(lines)-1], "\n") + "\n"
-	if err := os.WriteFile(path, []byte(truncated), 0o644); err != nil {
-		t.Fatal(err)
+	for name, f := range damage {
+		path := filepath.Join(dir, name)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := f(strings.Split(strings.TrimRight(string(b), "\n"), "\n"))
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	res2, stats2, err := Run(context.Background(), Config{Plan: p, Workers: workers, Dir: dir, Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats2.Dispatched != 1 || stats2.Resumed != stats1.Shards-1 {
-		t.Errorf("resume stats: %+v, want exactly the truncated shard re-dispatched", stats2)
+	if stats2.Dispatched != len(damage) || stats2.Resumed != stats1.Shards-len(damage) {
+		t.Errorf("resume stats: %+v, want exactly the %d damaged shards re-dispatched", stats2, len(damage))
 	}
 	checkIdentical(t, res2, res1)
+}
+
+// FuzzShardFile drives the journal's shard-file reader with arbitrary
+// bytes, seeded with a committed shard and damaged copies of it. No
+// input may panic, and a file the reader accepts must hold exactly one
+// valid, in-order run per plan of its header.
+func FuzzShardFile(f *testing.F) {
+	spec := explore.ShardSpec{Start: 4, Plans: []explore.RunPlan{
+		{Walk: explore.StrategyRandom, Seed: 7}, {Walk: explore.StrategyRandom, Seed: 8},
+	}}
+	strat, err := explore.ShardStrategy(spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	tg, err := explore.TargetByName(caseTarget)
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := explore.Run(context.Background(), tg, explore.WithStrategy(strat),
+		explore.WithRuns(len(spec.Plans)), explore.WithRunFeedback(), explore.WithRunMetrics())
+	if err != nil {
+		f.Fatal(err)
+	}
+	j := &journal{dir: f.TempDir()}
+	if err := j.commitShard(1, spec, &shardOutput{Runs: res.Runs, Metrics: res.Metrics}); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(j.shardPath(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, ok := readShardFile(bytes.NewReader(good)); !ok {
+		f.Fatal("a committed shard file does not read back")
+	}
+	lines := strings.SplitAfter(string(good), "\n")
+	f.Add(good)
+	f.Add([]byte(strings.Join(lines[:len(lines)-2], "")))                           // no done line
+	f.Add([]byte(lines[0] + lines[2] + lines[1] + strings.Join(lines[3:], "")))     // runs out of order
+	f.Add([]byte(strings.Replace(string(good), `"token":"s1.`, `"token":"zz.`, 1))) // a corrupted token
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, js, ok := readShardFile(bytes.NewReader(data))
+		if !ok {
+			return
+		}
+		if len(js.output.Runs) != len(js.spec.Plans) {
+			t.Fatalf("accepted %d runs for %d plans", len(js.output.Runs), len(js.spec.Plans))
+		}
+		for i, rr := range js.output.Runs {
+			if rr.Index != i {
+				t.Fatalf("accepted run %d at position %d", rr.Index, i)
+			}
+			if _, err := rr.Feedback(); err != nil {
+				t.Fatalf("accepted a run line that is no recording: %v", err)
+			}
+		}
+	})
 }
 
 // TestFleetJournalSafety: a fresh run refuses a directory that already

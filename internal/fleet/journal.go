@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -187,8 +188,9 @@ func (j *journal) take(idx int, spec explore.ShardSpec) (*shardOutput, error) {
 }
 
 // loadShards reads every complete shard file in the directory.
-// Incomplete files (no done line, truncated, count mismatch) are
-// ignored — those shards simply re-run.
+// Incomplete files (no done line, truncated, count mismatch, a run line
+// a worker's stream would have been refused for) are ignored — those
+// shards simply re-run.
 func (j *journal) loadShards() error {
 	paths, err := filepath.Glob(filepath.Join(j.dir, "shard-*.ndjson"))
 	if err != nil {
@@ -196,7 +198,12 @@ func (j *journal) loadShards() error {
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
-		idx, js, ok := readShardFile(p)
+		f, err := os.Open(p)
+		if err != nil {
+			continue
+		}
+		idx, js, ok := readShardFile(f)
+		f.Close()
 		if ok {
 			j.loaded[idx] = js
 		}
@@ -205,13 +212,10 @@ func (j *journal) loadShards() error {
 }
 
 // readShardFile parses one shard file; ok=false for anything incomplete.
-func readShardFile(path string) (int, *journaledShard, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, nil, false
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
+// Its run lines pass the same addRun checks as a streamed shard's, and
+// nothing may follow the done line.
+func readShardFile(r io.Reader) (int, *journaledShard, bool) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	if !sc.Scan() {
 		return 0, nil, false
@@ -224,12 +228,14 @@ func readShardFile(path string) (int, *journaledShard, bool) {
 	committed := false
 	for sc.Scan() {
 		var line wireLine
-		if json.Unmarshal(sc.Bytes(), &line) != nil {
+		if committed || json.Unmarshal(sc.Bytes(), &line) != nil {
 			return 0, nil, false
 		}
 		switch line.Kind {
 		case explore.KindRun:
-			out.Runs = append(out.Runs, line.RunResult)
+			if out.addRun(line.RunResult) != nil {
+				return 0, nil, false
+			}
 		case kindShardDone:
 			var done shardDoneLine
 			if json.Unmarshal(sc.Bytes(), &done) != nil || done.Runs != len(out.Runs) || done.Shard != hdr.Shard {

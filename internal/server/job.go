@@ -24,6 +24,11 @@ const (
 	statusFailed    jobStatus = "failed"
 )
 
+// maxJobWorkers bounds a job's workers field. A job's pool starts its
+// workers before it plans a run, so an unbounded count would cost a
+// goroutine each whatever the job asks for.
+const maxJobWorkers = 256
+
 // jobSpec is the POST /v1/jobs request body: the exploration's
 // explore.Spec (target, strategy, runs, seed, kinds, delayBound, por,
 // chains, debugStacks) plus how this service runs it. Zero values defer
@@ -32,8 +37,8 @@ const (
 // chains unset — the coordinator attaches chains once, after the merge.
 type jobSpec struct {
 	explore.Spec
-	// Workers is the per-job schedule concurrency (0 = GOMAXPROCS);
-	// results are identical for any value.
+	// Workers is the per-job schedule concurrency (0 = GOMAXPROCS, at
+	// most maxJobWorkers); results are identical for any value.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMs overrides the server's default per-job deadline; capped
 	// at the server default when that is set.

@@ -311,6 +311,9 @@ func (m *serverMetrics) record(j *job) {
 
 // buildJob validates a spec and resolves it into a runnable job.
 func (s *Server) buildJob(spec jobSpec) (*job, error) {
+	if spec.Workers < 0 || spec.Workers > maxJobWorkers {
+		return nil, fmt.Errorf("server: workers %d outside 0..%d", spec.Workers, maxJobWorkers)
+	}
 	tg, err := s.cfg.LookupTarget(spec.Target)
 	if err != nil {
 		return nil, err

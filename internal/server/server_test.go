@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -558,6 +559,36 @@ func TestBadSubmissions(t *testing.T) {
 	}
 }
 
+// TestJobWorkersBounded: a workers field outside 0..maxJobWorkers is a
+// 400 that names the field, and a job at the bound runs.
+func TestJobWorkersBounded(t *testing.T) {
+	s := New(Config{QueueSize: 2, Workers: 1})
+	defer s.Shutdown(context.Background())
+	for _, body := range []string{
+		`{"target":"case:SO-17894000","runs":1,"workers":100000000}`,
+		`{"target":"case:SO-17894000","runs":1,"workers":-1}`,
+	} {
+		rec := httptest.NewRecorder()
+		if s.parseJob(rec, strings.NewReader(body)) != nil {
+			t.Fatalf("POST %s accepted, want 400", body)
+		}
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "workers") {
+			t.Errorf("POST %s: %d %s, want a 400 naming workers", body, rec.Code, rec.Body)
+		}
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := fmt.Sprintf(`{"target":"case:SO-17894000","runs":2,"workers":%d}`, maxJobWorkers)
+	code, v := postJob(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST %s: status %d, want 202", body, code)
+	}
+	if v = waitStatus(t, ts, v.ID, statusDone); v.Runs != 2 {
+		t.Errorf("POST %s: %d runs, want 2", body, v.Runs)
+	}
+}
+
 // TestTargetsHealthzMetrics covers the discovery and observability
 // endpoints end to end: the registry listing, liveness, and the merged
 // per-run metrics snapshot after a completed job.
@@ -828,6 +859,8 @@ var jobBodies = []string{
 	`{"target":"case:SO-17894000","strategy":"bogus"}`,
 	`{"target":"case:SO-17894000","kinds":"bogus-kind"}`,
 	`{"target":"case:SO-17894000","runs":-1}`,
+	`{"target":"case:SO-17894000","runs":1,"workers":100000000}`,
+	`{"target":"case:SO-17894000","runs":1,"workers":-1}`,
 	`{"target":"x","runs":3,"workers":1}`,
 	`{"target":"case:SO-17894000","shardSeed":9}`,
 	`{"target":"case:SO-17894000","shard":{"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]}}`,

@@ -162,8 +162,8 @@ func TestSessionResetSteadyStateAllocs(t *testing.T) {
 	})
 	// A fresh session costs thousands of allocations for this workload;
 	// the warm path must stay well under that. The bound is deliberately
-	// loose to absorb map-rehash noise, and tightened further by the
-	// explore benchmarks.
+	// loose to absorb map-rehash noise; internal/explore's
+	// TestAllocBudget gates exploration allocations per schedule.
 	if avg > 600 {
 		t.Fatalf("steady-state Reset+Run costs %.0f allocs/run, want <= 600", avg)
 	}
