@@ -1,68 +1,33 @@
 package asyncgraph
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"slices"
-
-	"asyncg/internal/loc"
 )
 
 // fingerprintRounds is the number of Weisfeiler-Lehman refinement
 // rounds. Three rounds propagate structure across CR→CE→(created nodes)
 // chains far enough to separate every graph shape the detectors care
-// about, while staying O(rounds · edges · log).
+// about, while staying O(rounds · (nodes + edges)).
 const fingerprintRounds = 3
 
-// Inline FNV-1a over the exact byte stream hash/fnv would see. The
-// refinement loop hashes every node every round; going through a heap-
-// allocated hash.Hash64 there dominated the per-run allocation profile
-// of schedule exploration, so the hashing is open-coded on uint64
-// state instead (same constants, same result).
+// Seeds of the hash chains: one per kind of input, so a node label, an
+// edge tag, a string and a refined label never start from the same
+// state.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	seedNode   uint64 = 0x243f6a8885a308d3
+	seedEdge   uint64 = 0x13198a2e03707344
+	seedString uint64 = 0xa4093822299f31d0
+	seedRound  uint64 = 0x082efa98ec4e6c89
+	seedGraph  uint64 = 0x452821e638d01377
 )
-
-// fnvByte folds one byte into an FNV-1a state.
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-// fnvUint64 folds v's 8 little-endian bytes into the state, matching
-// putUint64-into-fnv byte order.
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(v>>(8*i)))
-	}
-	return h
-}
-
-// fnvString folds a string plus a 0 separator into the state, without
-// the []byte conversion a hash.Hash64 Write would force.
-func fnvString(h uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return fnvByte(h, 0)
-}
-
-// arc is one edge endpoint as the refinement sees it: the edge's tag
-// (kind + label) and the neighbour's index.
-type arc struct {
-	tag uint64
-	nbr int32
-}
 
 // fpScratch holds the working storage one Fingerprint call needs. It
 // lives on the Graph (created lazily on first use) so a graph that is
 // fingerprinted after every run — the explore engine's steady state —
-// reuses one allocation set instead of rebuilding labels, CSR views and
-// the hash stream each call.
+// reuses one allocation set instead of rebuilding it each call.
 type fpScratch struct {
-	labels, next, tags, neigh []uint64
-	outArcs, inArcs           []arc
-	outOff, inOff, fill       []int32
-	stream                    []byte
+	labels, next, tags, out, in []uint64
 }
 
 // growU64 resizes buf to n elements, reallocating only when capacity is
@@ -70,26 +35,6 @@ type fpScratch struct {
 func growU64(buf *[]uint64, n int) []uint64 {
 	if cap(*buf) < n {
 		*buf = make([]uint64, n)
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
-// growI32 resizes buf to n zeroed elements.
-func growI32(buf *[]int32, n int) []int32 {
-	if cap(*buf) < n {
-		*buf = make([]int32, n)
-	}
-	*buf = (*buf)[:n]
-	clear(*buf)
-	return *buf
-}
-
-// growArcs resizes buf to n arcs. Contents are unspecified; buildArcs
-// overwrites every slot.
-func growArcs(buf *[]arc, n int) []arc {
-	if cap(*buf) < n {
-		*buf = make([]arc, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -108,6 +53,12 @@ func growArcs(buf *[]arc, n int) []arc {
 // sequence numbers, execution counters (already represented by CE nodes
 // and binding edges), warnings (classified separately), and promise
 // stacks.
+//
+// The hash is a Weisfeiler-Lehman refinement over 64-bit words: every
+// input is mixed in one word at a time, and each round combines a
+// node's outbound and inbound neighbour multisets as order-independent
+// sums of mixed (edge tag, neighbour label) pairs, so no round sorts or
+// builds adjacency lists. The "ag2-" prefix versions the format.
 func (g *Graph) Fingerprint() string {
 	if g.fp == nil {
 		g.fp = &fpScratch{}
@@ -118,164 +69,112 @@ func (g *Graph) Fingerprint() string {
 	for i, node := range g.Nodes {
 		labels[i] = nodeBaseLabel(g, node)
 	}
-
-	// Adjacency in CSR form: one flat arc slice per direction with a
-	// count-then-fill layout, instead of n append-grown slices.
 	tags := growU64(&s.tags, len(g.Edges))
 	for i, e := range g.Edges {
-		tags[i] = edgeTag(e)
+		tags[i] = fold(fold(seedEdge, uint64(e.Kind)), hashString(e.Label))
 	}
-	outArcs, outOff := buildArcs(g, n, tags, false, &s.outArcs, &s.outOff, &s.fill)
-	inArcs, inOff := buildArcs(g, n, tags, true, &s.inArcs, &s.inOff, &s.fill)
 
-	next := growU64(&s.next, n)
-	neigh := s.neigh[:0]
+	next, out, in := growU64(&s.next, n), growU64(&s.out, n), growU64(&s.in, n)
 	for round := 0; round < fingerprintRounds; round++ {
-		for i := 0; i < n; i++ {
-			h := fnvUint64(fnvOffset64, labels[i])
-			for dir, view := range [2]struct {
-				arcs []arc
-				off  []int32
-			}{{outArcs, outOff}, {inArcs, inOff}} {
-				neigh = neigh[:0]
-				for _, a := range view.arcs[view.off[i]:view.off[i+1]] {
-					neigh = append(neigh, a.tag^mix(labels[a.nbr]))
-				}
-				slices.Sort(neigh)
-				h = fnvUint64(h, uint64(dir)<<32|uint64(len(neigh)))
-				for _, v := range neigh {
-					h = fnvUint64(h, v)
-				}
+		clear(out)
+		clear(in)
+		for k, e := range g.Edges {
+			// Edges with a dangling endpoint are skipped.
+			if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+				continue
 			}
-			next[i] = h
+			out[e.From] += fold(tags[k], labels[e.To])
+			in[e.To] += fold(tags[k], labels[e.From])
+		}
+		for i := range labels {
+			next[i] = fold(fold(fold(seedRound, labels[i]), out[i]), in[i])
 		}
 		labels, next = next, labels
 	}
-	s.labels, s.next, s.neigh = labels, next, neigh
+	s.labels, s.next = labels, next
 
-	slices.Sort(labels)
-	stream := s.stream[:0]
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	stream = append(stream, buf[:]...)
-	binary.LittleEndian.PutUint64(buf[:], uint64(len(g.Edges)))
-	stream = append(stream, buf[:]...)
+	var sum uint64
 	for _, v := range labels {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		stream = append(stream, buf[:]...)
+		sum += v
 	}
-	s.stream = stream
-	sum := sha256.Sum256(stream)
-	var out [20]byte
-	copy(out[:], "ag1-")
-	hex.Encode(out[4:], sum[:8])
-	return string(out[:])
-}
-
-// buildArcs lays the graph's edges out as a CSR adjacency view for one
-// direction: arcs for node i live at arcs[off[i]:off[i+1]]. Edges with
-// a dangling endpoint are skipped, matching the defensive check the
-// refinement historically performed.
-func buildArcs(g *Graph, n int, tags []uint64, inbound bool, arcBuf *[]arc, offBuf, fillBuf *[]int32) ([]arc, []int32) {
-	off := growI32(offBuf, n+1)
-	valid := func(e Edge) bool {
-		return e.From >= 0 && int(e.From) < n && e.To >= 0 && int(e.To) < n
-	}
-	anchor := func(e Edge) int {
-		if inbound {
-			return int(e.To)
-		}
-		return int(e.From)
-	}
-	other := func(e Edge) int32 {
-		if inbound {
-			return int32(e.From)
-		}
-		return int32(e.To)
-	}
-	for _, e := range g.Edges {
-		if valid(e) {
-			off[anchor(e)+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	arcs := growArcs(arcBuf, int(off[n]))
-	fill := growI32(fillBuf, n)
-	for i, e := range g.Edges {
-		if !valid(e) {
-			continue
-		}
-		a := anchor(e)
-		arcs[off[a]+fill[a]] = arc{tag: tags[i], nbr: other(e)}
-		fill[a]++
-	}
-	return arcs, off
-}
-
-// edgeTag hashes an edge's schedule-stable attributes, matching the
-// historical hashStrings("edge", kind, label) byte stream.
-func edgeTag(e Edge) uint64 {
-	h := fnvString(fnvOffset64, "edge")
-	h = fnvString(h, e.Kind.String())
-	return fnvString(h, e.Label)
+	h := fold(fold(fold(seedGraph, uint64(n)), uint64(len(g.Edges))), sum)
+	var word [8]byte
+	binary.BigEndian.PutUint64(word[:], h)
+	var fp [20]byte
+	copy(fp[:], "ag2-")
+	hex.Encode(fp[4:], word[:])
+	return string(fp[:])
 }
 
 // nodeBaseLabel hashes the schedule-stable attributes of one node. The
 // containing tick's phase participates (a callback running in the timer
 // phase is different behaviour from the same callback in the I/O phase)
-// but the tick index does not.
+// but the tick index does not. An internal location hashes as the empty
+// file at line 0, whatever its line.
 func nodeBaseLabel(g *Graph, n *Node) uint64 {
 	phase := ""
 	if tk := g.TickOf(n.ID); tk != nil {
 		phase = tk.Phase
 	}
-	removed := "live"
+	flags := uint64(n.Kind) << 1
 	if n.Removed {
-		removed = "removed"
+		flags |= 1
 	}
-	h := fnvString(fnvOffset64, "node")
-	h = fnvString(h, n.Kind.String())
-	h = fnvString(h, n.API)
-	h = fnvString(h, n.Event)
-	h = fnvString(h, n.Func)
-	h = fnvLoc(h, n.Loc)
-	h = fnvString(h, phase)
-	return fnvString(h, removed)
+	line := uint64(n.Loc.Line)
+	if n.Loc.IsInternal() {
+		line = 0
+	}
+	h := fold(seedNode, flags)
+	h = fold(h, hashString(n.API))
+	h = fold(h, hashString(n.Event))
+	h = fold(h, hashString(n.Func))
+	h = fold(h, hashString(n.Loc.File))
+	h = fold(h, line)
+	return fold(h, hashString(phase))
 }
 
-// fnvLoc folds a location's rendered form ("file:line" or "*") into the
-// state without materializing the string Loc.String would allocate.
-func fnvLoc(h uint64, l loc.Loc) uint64 {
-	if l.IsInternal() {
-		return fnvString(h, "*")
+// hashString hashes s a word at a time: its length, then each 8-byte
+// little-endian word. The final word overlaps its predecessor when the
+// length is not a multiple of 8, and a string shorter than a word packs
+// into one; the length mixed in first keeps either encoding unambiguous.
+func hashString(s string) uint64 {
+	h := fold(seedString, uint64(len(s)))
+	rest := s
+	for len(rest) > 8 {
+		h = fold(h, le64(rest))
+		rest = rest[8:]
 	}
-	for i := 0; i < len(l.File); i++ {
-		h = fnvByte(h, l.File[i])
+	var w uint64
+	switch k := len(rest); {
+	case len(s) >= 8:
+		w = le64(s[len(s)-8:])
+	case k >= 4:
+		w = uint64(le32(rest)) | uint64(le32(rest[k-4:]))<<32
+	case k > 0:
+		w = uint64(rest[0])<<16 | uint64(rest[k/2])<<8 | uint64(rest[k-1])
 	}
-	h = fnvByte(h, ':')
-	var digits [20]byte
-	i := len(digits)
-	v := l.Line
-	if v <= 0 {
-		i--
-		digits[i] = '0'
-	}
-	for v > 0 {
-		i--
-		digits[i] = byte('0' + v%10)
-		v /= 10
-	}
-	for ; i < len(digits); i++ {
-		h = fnvByte(h, digits[i])
-	}
-	return fnvByte(h, 0)
+	return fold(h, w)
 }
 
-// mix finalizes a label before it joins a neighbour multiset, so that a
-// node label and an edge tag cannot cancel structurally (xor without
-// mixing would make a-tag-b and b-tag-a collide).
+// le64 reads the first 8 bytes of s as a little-endian word.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// le32 reads the first 4 bytes of s as a little-endian word.
+func le32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// fold mixes the word w into the hash state h.
+func fold(h, w uint64) uint64 { return mix(h ^ w) }
+
+// mix is a bijective 64-bit finalizer (MurmurHash3's fmix64): every
+// input bit affects every output bit, so states that differ in one word
+// leave fold far apart.
 func mix(v uint64) uint64 {
 	v ^= v >> 33
 	v *= 0xff51afd7ed558ccd
