@@ -2,7 +2,6 @@ package explore
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 // stands for: run i seeds one generator with seed+i, draws
 // sample-or-mutate and the weighted parent from it, then keeps drawing
 // from it while mutating. Fleet runs execute the plan's PickFunc and
-// local runs the strategy's own Plan, whose walk makes the draw against
-// the corpus itself, so only this reference walk catches either one
+// local runs the strategy's own Plan, whose pooled walk replays the
+// draw PlanRun made, so only this reference walk catches either one
 // skipping or reordering the draw.
 func TestCoveragePlanReplaysDraw(t *testing.T) {
 	const seed = 5
@@ -36,9 +35,9 @@ func TestCoveragePlanReplaysDraw(t *testing.T) {
 		if st != PlanReady {
 			t.Fatalf("run %d: plan state %v after generation 0 was observed", i, st)
 		}
-		rng := rand.New(rand.NewSource(seed + int64(i)))
+		rng := refRNG(seed + int64(i))
 		want := randomNext(rng)
-		if rng.Intn(4) != 0 {
+		if intn(rng, 4) != 0 {
 			want = mutateNext(rng, corpus[pickWeighted(rng, len(corpus))])
 		}
 		got := p.PickFunc()
@@ -65,7 +64,7 @@ func TestMutatedScheduleRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		// A random run donates its recorded picks as the corpus seed.
 		base, _, _ := runOnce(context.Background(), tg.runFresh, 0,
-			newChooser(AllKinds(), randomNext(rand.New(rand.NewSource(seed)))), nil, &config{}, newIntern())
+			newChooser(AllKinds(), randomNext(refRNG(seed))), nil, &config{}, newIntern())
 		sched, err := ParseToken(base.Token)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -74,7 +73,7 @@ func TestMutatedScheduleRoundTrip(t *testing.T) {
 		// Two mutations from the same generator state must agree on
 		// every pick, hence on the token and the resulting graph.
 		mut := func() (RunResult, []int) {
-			ch := newChooser(AllKinds(), mutateNext(rand.New(rand.NewSource(seed+1000)), sched.Picks))
+			ch := newChooser(AllKinds(), mutateNext(refRNG(seed+1000), sched.Picks))
 			rr, _, _ := runOnce(context.Background(), tg.runFresh, 0, ch, nil, &config{}, newIntern())
 			return rr, ch.picks
 		}

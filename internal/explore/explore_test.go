@@ -5,7 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"math/rand"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -35,24 +35,31 @@ func mustRun(t *testing.T, tg Target, opts ...Option) *Result {
 	return res
 }
 
-// Reference pick rules: each seeded walk written as a closure over an
-// eagerly seeded generator. The strategies' walks seed on the first
-// pick and recycle their generators (see walk); the tests hold their
-// pick streams to these.
+// Reference pick rules: each seeded walk written as a closure over its
+// own generator, drawing through intn. The strategies' walks are pooled
+// and reseeded at Plan (see walk); the tests hold their pick streams to
+// these.
+
+// refRNG returns a generator in the state run seed s starts from.
+func refRNG(s int64) *rand.PCG {
+	rng := new(rand.PCG)
+	seedPCG(rng, s)
+	return rng
+}
 
 // randomNext draws every pick uniformly.
-func randomNext(rng *rand.Rand) PickFunc {
-	return func(_ int, _ eventloop.ChoiceKind, n int) int { return rng.Intn(n) }
+func randomNext(rng *rand.PCG) PickFunc {
+	return func(_ int, _ eventloop.ChoiceKind, n int) int { return intn(rng, n) }
 }
 
 // delayNext perturbs the default schedule with at most bound non-default
 // picks, each site deviating with probability 1/4.
-func delayNext(rng *rand.Rand, bound int) PickFunc {
+func delayNext(rng *rand.PCG, bound int) PickFunc {
 	budget := bound
 	return func(_ int, _ eventloop.ChoiceKind, n int) int {
-		if budget > 0 && rng.Intn(4) == 0 {
+		if budget > 0 && intn(rng, 4) == 0 {
 			budget--
-			return 1 + rng.Intn(n-1)
+			return 1 + intn(rng, n-1)
 		}
 		return 0
 	}
@@ -60,10 +67,10 @@ func delayNext(rng *rand.Rand, bound int) PickFunc {
 
 // mutateNext replays seed, each position deviating with probability 1/8
 // to a uniform draw; positions past the seed's end take the default pick.
-func mutateNext(rng *rand.Rand, seed []int) PickFunc {
+func mutateNext(rng *rand.PCG, seed []int) PickFunc {
 	return func(pos int, _ eventloop.ChoiceKind, n int) int {
-		if rng.Intn(8) == 0 {
-			return rng.Intn(n)
+		if intn(rng, 8) == 0 {
+			return intn(rng, n)
 		}
 		if pos < len(seed) {
 			return seed[pos]
@@ -73,18 +80,18 @@ func mutateNext(rng *rand.Rand, seed []int) PickFunc {
 }
 
 // TestPooledWalksMatchReference: the random and delay strategies hand
-// out pooled walks that seed on their first pick. Across recycled walks
-// — including runs that draw nothing before their walk goes back to the
-// pool — run i still draws exactly the reference rule's picks from a
-// generator seeded with seed+i, and so does RunPlan.PickFunc.
+// out pooled walks, reseeded at Plan. Across recycled walks — including
+// runs that draw nothing before their walk goes back to the pool — run
+// i still draws exactly the reference rule's picks from a generator
+// seeded with seed+i, and so does RunPlan.PickFunc.
 func TestPooledWalksMatchReference(t *testing.T) {
 	const seed, bound = 9, 2
 	for _, tc := range []struct {
 		s   Planner
-		ref func(*rand.Rand) PickFunc
+		ref func(*rand.PCG) PickFunc
 	}{
 		{NewRandom(seed).(Planner), randomNext},
-		{NewDelay(seed, bound).(Planner), func(rng *rand.Rand) PickFunc { return delayNext(rng, bound) }},
+		{NewDelay(seed, bound).(Planner), func(rng *rand.PCG) PickFunc { return delayNext(rng, bound) }},
 	} {
 		for i := 0; i < 12; i++ {
 			pooled, st := tc.s.Plan(i)
@@ -93,7 +100,7 @@ func TestPooledWalksMatchReference(t *testing.T) {
 			}
 			p, _ := tc.s.PlanRun(i)
 			fresh := p.PickFunc()
-			want := tc.ref(rand.New(rand.NewSource(seed + int64(i))))
+			want := tc.ref(refRNG(seed + int64(i)))
 			picks := 24
 			if i%3 == 1 {
 				picks = 0 // a run that meets no choice point
@@ -111,11 +118,11 @@ func TestPooledWalksMatchReference(t *testing.T) {
 }
 
 func TestTokenRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewPCG(7, 0))
 	for i := 0; i < 200; i++ {
-		picks := make([]int, rng.Intn(40))
+		picks := make([]int, rng.IntN(40))
 		for j := range picks {
-			picks[j] = rng.Intn(6)
+			picks[j] = rng.IntN(6)
 		}
 		tok := Schedule{Picks: picks}.Token()
 		back, err := ParseToken(tok)
@@ -176,8 +183,7 @@ func TestReplayDeterminism(t *testing.T) {
 	for _, id := range cases {
 		tg := caseTarget(t, id)
 		for seed := int64(0); seed < 50; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			orig, _, _ := runOnce(context.Background(), tg.runFresh, 0, newChooser(AllKinds(), randomNext(rng)), nil, &config{}, newIntern())
+			orig, _, _ := runOnce(context.Background(), tg.runFresh, 0, newChooser(AllKinds(), randomNext(refRNG(seed))), nil, &config{}, newIntern())
 			rep, _, err := Replay(tg, orig.Token)
 			if err != nil {
 				t.Fatalf("%s seed %d: replay: %v", id, seed, err)
@@ -277,8 +283,7 @@ func TestDelayBound(t *testing.T) {
 	tg := caseTarget(t, "SO-17894000")
 	const bound = 2
 	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ch := newChooser(DefaultKinds(), delayNext(rng, bound))
+		ch := newChooser(DefaultKinds(), delayNext(refRNG(seed), bound))
 		runOnce(context.Background(), tg.runFresh, 0, ch, nil, &config{}, newIntern())
 		nonzero := 0
 		for _, p := range ch.picks {

@@ -47,9 +47,8 @@ import (
 // lock is held across the strategy's and the callback's code on
 // purpose: serializing those calls in run-index order is its job, so a
 // slow callback delays the next plan, never a run already executing.
-// The built-in strategies keep their share of the lock cheap: the
-// seeded walks build and seed their generators on the run's first pick,
-// outside it (see walk).
+// The built-in strategies' share of the lock is small: a seeded walk is
+// a pooled PCG reseeded at Plan, a pair of stores (see walk).
 //
 // When a strategy needs feedback that is still in flight it answers
 // PlanWait, and the worker waits on a condition variable until the next

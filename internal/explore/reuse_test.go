@@ -85,7 +85,7 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 	}
 	fold := NewFold(reused, opts...)
 	for i, w := range shardWindows(total, 5) {
-		spec := ShardSpec{Start: w[0]}
+		spec := ShardSpec{Version: ShardVersion, Start: w[0]}
 		for j := 0; j < w[1]; j++ {
 			p, _ := planner.PlanRun(w[0] + j)
 			spec.Plans = append(spec.Plans, p)

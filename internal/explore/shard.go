@@ -11,6 +11,14 @@ import "fmt"
 // the same Fold a local exploration uses, so its output is
 // byte-identical to a single-process Run at the same budget.
 
+// ShardVersion is the version every ShardSpec must carry. It names the
+// generator a seeded plan draws its picks from (a math/rand/v2 PCG
+// through this package's intn) and the fingerprint format the runs
+// report (ag2-). A worker on another generator or format would hand
+// back runs that silently disagree with the coordinator's, so Validate
+// refuses any other version.
+const ShardVersion = 2
+
 // ShardSpec describes one contiguous slice of an exploration: the runs
 // at global indices [Start, Start+len(Plans)), each given as the
 // RunPlan the exploration's strategy planned for it. The plans already
@@ -18,16 +26,21 @@ import "fmt"
 // the exhaustive frontier prefix), so a worker executes a shard with no
 // strategy state at all.
 type ShardSpec struct {
+	// Version must be ShardVersion.
+	Version int `json:"version"`
 	// Start is the global run index of the shard's first run.
 	Start int `json:"start"`
 	// Plans holds one plan per run, in run order.
 	Plans []RunPlan `json:"plans"`
 }
 
-// Validate checks a decoded spec before anything executes it: a
-// non-negative start, at least one plan, and every plan within the
-// bounds its PickFunc relies on.
+// Validate checks a decoded spec before anything executes it: the
+// current version, a non-negative start, at least one plan, and every
+// plan within the bounds its PickFunc relies on.
 func (s ShardSpec) Validate() error {
+	if s.Version != ShardVersion {
+		return fmt.Errorf(`explore: shard "version" is %d, this build speaks %d`, s.Version, ShardVersion)
+	}
 	if s.Start < 0 {
 		return fmt.Errorf("explore: negative shard start %d", s.Start)
 	}

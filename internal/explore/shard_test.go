@@ -106,7 +106,7 @@ func checkShardsReplay(t *testing.T, s Spec, runs int, kinds []eventloop.ChoiceK
 	}
 	for _, width := range widths {
 		for _, w := range shardWindows(len(rec.plans), width) {
-			b, err := json.Marshal(ShardSpec{Start: w[0], Plans: rec.plans[w[0] : w[0]+w[1]]})
+			b, err := json.Marshal(ShardSpec{Version: ShardVersion, Start: w[0], Plans: rec.plans[w[0] : w[0]+w[1]]})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,32 +187,38 @@ func TestWithRunFeedback(t *testing.T) {
 
 // validShardSpecs holds one accepted spec per walk.
 func validShardSpecs() []ShardSpec {
+	const v = ShardVersion
 	return []ShardSpec{
-		{Start: 5, Plans: []RunPlan{{Walk: StrategyRandom, Seed: 9}, {Walk: StrategyRandom, Seed: 10}}},
-		{Plans: []RunPlan{{Walk: StrategyDelay, Seed: 1, DelayBound: 3}}},
-		{Start: 8, Plans: []RunPlan{{Walk: StrategyCoverage, Seed: 11, Corpus: 2, Picks: []int{0, 1}}, {Walk: StrategyCoverage, Seed: 12, Corpus: 2}}},
-		{Start: 2, Plans: []RunPlan{{Walk: StrategyExhaustive, Picks: []int{0, 1}}, {Walk: StrategyExhaustive}}},
+		{Version: v, Start: 5, Plans: []RunPlan{{Walk: StrategyRandom, Seed: 9}, {Walk: StrategyRandom, Seed: 10}}},
+		{Version: v, Plans: []RunPlan{{Walk: StrategyDelay, Seed: 1, DelayBound: 3}}},
+		{Version: v, Start: 8, Plans: []RunPlan{{Walk: StrategyCoverage, Seed: 11, Corpus: 2, Picks: []int{0, 1}}, {Walk: StrategyCoverage, Seed: 12, Corpus: 2}}},
+		{Version: v, Start: 2, Plans: []RunPlan{{Walk: StrategyExhaustive, Picks: []int{0, 1}}, {Walk: StrategyExhaustive}}},
 	}
 }
 
 // invalidShardSpecs holds the specs a fleet coordinator (or a
-// version-skewed worker) must be told about loudly.
+// version-skewed worker) must be told about loudly: a missing or other
+// version, and one bad field each at the current version.
 func invalidShardSpecs() []ShardSpec {
+	const v = ShardVersion
 	one := func(p RunPlan) []RunPlan { return []RunPlan{p} }
 	return []ShardSpec{
-		{Start: 0},
-		{Start: -1, Plans: one(RunPlan{Walk: StrategyRandom})},
-		{Plans: one(RunPlan{Walk: "anneal"})},
-		{Plans: []RunPlan{{Walk: StrategyRandom}, {}}},
-		{Plans: one(RunPlan{Walk: StrategyRandom, Picks: []int{1}})},
-		{Plans: one(RunPlan{Walk: StrategyDelay, Seed: 1})},
-		{Plans: one(RunPlan{Walk: StrategyDelay, DelayBound: 2, Corpus: 1})},
-		{Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: -1})},
-		{Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: maxPlanCorpus + 1, Picks: []int{1}})},
-		{Plans: one(RunPlan{Walk: StrategyCoverage, DelayBound: 2})},
-		{Plans: one(RunPlan{Walk: StrategyExhaustive, Seed: 3})},
-		{Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{-1}})},
-		{Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{maxPlanPick + 1}})},
+		{Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
+		{Version: 1, Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
+		{Version: v + 1, Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
+		{Version: v, Start: 0},
+		{Version: v, Start: -1, Plans: one(RunPlan{Walk: StrategyRandom})},
+		{Version: v, Plans: one(RunPlan{Walk: "anneal"})},
+		{Version: v, Plans: []RunPlan{{Walk: StrategyRandom}, {}}},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyRandom, Picks: []int{1}})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyDelay, Seed: 1})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyDelay, DelayBound: 2, Corpus: 1})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: -1})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyCoverage, Corpus: maxPlanCorpus + 1, Picks: []int{1}})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyCoverage, DelayBound: 2})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Seed: 3})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{-1}})},
+		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{maxPlanPick + 1}})},
 	}
 }
 
@@ -222,6 +228,8 @@ func TestShardSpecValidate(t *testing.T) {
 	for _, spec := range invalidShardSpecs() {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", spec)
+		} else if spec.Version != ShardVersion && !strings.Contains(err.Error(), `"version"`) {
+			t.Errorf("Validate(%+v) = %v, want the version field named", spec, err)
 		}
 		if _, err := ShardStrategy(spec); err == nil {
 			t.Errorf("ShardStrategy(%+v): want error", spec)
@@ -246,7 +254,7 @@ func FuzzShardSpec(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	f.Add([]byte(`{"start":0,"plans":[{"walk":"coverage","seed":1,"corpus":4294967296,"picks":[1]}]}`))
+	f.Add([]byte(`{"version":2,"start":0,"plans":[{"walk":"coverage","seed":1,"corpus":4294967296,"picks":[1]}]}`))
 	tg, err := TargetByName("case:SO-17894000")
 	if err != nil {
 		f.Fatal(err)

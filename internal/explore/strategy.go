@@ -2,7 +2,8 @@ package explore
 
 import (
 	"fmt"
-	"math/rand"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"strings"
 
@@ -224,14 +225,13 @@ func (p RunPlan) validate() error {
 }
 
 // PickFunc builds the run's pick function. Every call builds a fresh
-// walk, so the plan can be executed any number of times; a seeded walk
-// builds its generator on the run's first pick (see walk).
+// walk, so the plan can be executed any number of times.
 func (p RunPlan) PickFunc() PickFunc {
 	if p.Walk == StrategyExhaustive {
 		return playbackNext(p.Picks)
 	}
 	w := newWalk()
-	w.plan = p
+	w.start(p)
 	return w.next
 }
 
@@ -243,26 +243,47 @@ func planPicks(p RunPlan, st PlanState) (PickFunc, PlanState) {
 	return p.PickFunc(), PlanReady
 }
 
-// walk is one run of a seeded pick rule — random, delay, or coverage.
-// It seeds its generator on the run's first pick, inside Run on the
-// worker executing the run, never at Plan: the engine serializes
-// planning, and seeding a math/rand generator costs about as much as a
-// small program's whole run. A coverage walk replays its sample-or-mutate draw
-// at that point too. Reseeding a pooled generator with rand.Seed
-// reproduces the exact state rand.NewSource builds, so a pooled walk and
-// a fresh one draw the same picks.
-type walk struct {
-	plan RunPlan
-	// corpus is the corpus a locally planned coverage run draws its
-	// mutation parent from; nil when the plan carries the parent in
-	// plan.Picks.
-	corpus []corpusEntry
+// A seeded run draws from a math/rand/v2 PCG, an algorithm the standard
+// library fixes by name, seeded from the run's RunPlan.Seed. Bounded
+// draws go through intn, this package's own reduction, not through
+// rand.Rand's IntN, whose reduction is not documented as stable: a fleet
+// worker may run another build than its coordinator and must still draw
+// the same picks. ShardVersion names this generator.
 
-	rng    *rand.Rand
-	seeded bool
-	budget int   // delay: non-default picks left
-	mutate bool  // coverage: the draw chose to mutate parent
-	parent []int // coverage: the mutation parent
+// seedPCG sets rng to the state run seed s starts from. A PCG's low
+// state word evolves independently of its high word, so s reaches the
+// low word through splitmix64, and consecutive run seeds start far apart
+// in both.
+func seedPCG(rng *rand.PCG, s int64) {
+	rng.Seed(uint64(s), splitmix64(uint64(s)))
+}
+
+// splitmix64 is the SplitMix64 output function.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// intn draws an index in [0, n) from rng: the high word of a 64×64-bit
+// product of the next output and n (a multiply-high reduction, without
+// a rejection step; its bias is below n/2^64).
+func intn(rng *rand.PCG, n int) int {
+	hi, _ := bits.Mul64(rng.Uint64(), uint64(n))
+	return int(hi)
+}
+
+// walk is one run of a seeded pick rule — random, delay, or coverage.
+// start seeds it at Plan, under the engine's planning lock: reseeding a
+// PCG is a pair of stores, so the lock stays cheap. The strategies pool
+// their walks (see walkPool), and a pooled walk reseeded by start draws
+// exactly the picks a fresh one does.
+type walk struct {
+	plan   RunPlan
+	rng    rand.PCG
+	budget int  // delay: non-default picks left
+	mutate bool // coverage: the draw chose to mutate plan.Picks
 	next   PickFunc
 }
 
@@ -272,24 +293,16 @@ func newWalk() *walk {
 	return w
 }
 
-// start seeds the generator and makes the walk's up-front draws.
-func (w *walk) start() {
-	if w.rng == nil {
-		w.rng = rand.New(rand.NewSource(w.plan.Seed))
-	} else {
-		w.rng.Seed(w.plan.Seed)
-	}
-	w.seeded = true
-	w.budget = w.plan.DelayBound
-	w.mutate, w.parent = false, nil
-	if w.plan.Walk == StrategyCoverage {
-		if k := coverageDraw(w.rng, w.plan.Corpus); k >= 0 {
-			w.mutate, w.parent = true, w.plan.Picks
-			if w.corpus != nil {
-				w.parent = w.corpus[k].picks
-			}
-		}
-	}
+// start readies the walk for plan p: it seeds the generator and makes
+// the run's up-front draws. A coverage run's first draw decides between
+// sampling and mutating p.Picks — the parent PlanRun drew from the
+// corpus with the same generator state, so the walk's later picks come
+// from the state that draw left.
+func (w *walk) start(p RunPlan) {
+	w.plan = p
+	seedPCG(&w.rng, p.Seed)
+	w.budget = p.DelayBound
+	w.mutate = p.Walk == StrategyCoverage && coverageDraw(&w.rng, p.Corpus) >= 0
 }
 
 // pick is the walk's PickFunc. Random draws every pick uniformly. Delay
@@ -302,26 +315,23 @@ func (w *walk) start() {
 // exceed the current domain — the chooser clamps them to 0, exactly as
 // token replay does.
 func (w *walk) pick(pos int, _ eventloop.ChoiceKind, n int) int {
-	if !w.seeded {
-		w.start()
-	}
 	switch {
 	case w.plan.Walk == StrategyDelay:
-		if w.budget > 0 && w.rng.Intn(4) == 0 {
+		if w.budget > 0 && intn(&w.rng, 4) == 0 {
 			w.budget--
-			return 1 + w.rng.Intn(n-1)
+			return 1 + intn(&w.rng, n-1)
 		}
 		return 0
 	case w.mutate:
-		if w.rng.Intn(8) == 0 {
-			return w.rng.Intn(n)
+		if intn(&w.rng, 8) == 0 {
+			return intn(&w.rng, n)
 		}
-		if pos < len(w.parent) {
-			return w.parent[pos]
+		if pos < len(w.plan.Picks) {
+			return w.plan.Picks[pos]
 		}
 		return 0
 	default:
-		return w.rng.Intn(n)
+		return intn(&w.rng, n)
 	}
 }
 
@@ -335,8 +345,8 @@ type walkPool struct {
 	free []*walk
 }
 
-// take hands out run i's walk of plan p (corpus: see walk.corpus).
-func (wp *walkPool) take(i int, p RunPlan, corpus []corpusEntry) PickFunc {
+// take hands out run i's walk of plan p, seeded.
+func (wp *walkPool) take(i int, p RunPlan) PickFunc {
 	var w *walk
 	if n := len(wp.free); n > 0 {
 		w = wp.free[n-1]
@@ -344,7 +354,7 @@ func (wp *walkPool) take(i int, p RunPlan, corpus []corpusEntry) PickFunc {
 	} else {
 		w = newWalk()
 	}
-	w.plan, w.corpus, w.seeded = p, corpus, false
+	w.start(p)
 	if wp.out == nil {
 		wp.out = make(map[int]*walk)
 	}
@@ -380,7 +390,7 @@ func (s *randomStrategy) PlanRun(i int) (RunPlan, PlanState) {
 
 func (s *randomStrategy) Plan(i int) (PickFunc, PlanState) {
 	p, _ := s.PlanRun(i)
-	return s.walks.take(i, p, nil), PlanReady
+	return s.walks.take(i, p), PlanReady
 }
 
 func (s *randomStrategy) Observe(fb Feedback) { s.walks.put(fb.Index) }
@@ -411,7 +421,7 @@ func (s *delayStrategy) PlanRun(i int) (RunPlan, PlanState) {
 
 func (s *delayStrategy) Plan(i int) (PickFunc, PlanState) {
 	p, _ := s.PlanRun(i)
-	return s.walks.take(i, p, nil), PlanReady
+	return s.walks.take(i, p), PlanReady
 }
 
 func (s *delayStrategy) Observe(fb Feedback) { s.walks.put(fb.Index) }
@@ -517,10 +527,6 @@ type coverageStrategy struct {
 	boundaries []int // corpus size visible to each generation
 	observed   int
 	walks      walkPool
-	// scratch makes PlanRun's draw, reseeded per plan. It is built on
-	// first use: Plan leaves the draw to the run's walk, so a local
-	// exploration never needs it.
-	scratch *rand.Rand
 }
 
 // NewCoverage returns the coverage-guided strategy (see
@@ -531,43 +537,31 @@ func NewCoverage(seed int64) Strategy {
 
 func (s *coverageStrategy) Name() string { return StrategyCoverage }
 
-// generation answers for run i up to its draw: the plan without the
-// mutation parent, and the corpus the draw picks the parent from.
-func (s *coverageStrategy) generation(i int) (RunPlan, []corpusEntry, PlanState) {
+// PlanRun makes run i's sample-or-mutate draw against the corpus its
+// generation sees, and records the chosen parent in the plan.
+func (s *coverageStrategy) PlanRun(i int) (RunPlan, PlanState) {
 	g := i / coverageGeneration
 	if g >= len(s.boundaries) {
 		// Generation g opens only after every run of generations < g has
 		// been observed.
-		return RunPlan{}, nil, PlanWait
+		return RunPlan{}, PlanWait
 	}
 	corpus := s.entries[:s.boundaries[g]]
-	return RunPlan{Walk: StrategyCoverage, Seed: s.seed + int64(i), Corpus: len(corpus)}, corpus, PlanReady
-}
-
-func (s *coverageStrategy) PlanRun(i int) (RunPlan, PlanState) {
-	p, corpus, st := s.generation(i)
-	if st != PlanReady {
-		return p, st
-	}
-	if s.scratch == nil {
-		s.scratch = rand.New(rand.NewSource(p.Seed))
-	} else {
-		s.scratch.Seed(p.Seed)
-	}
-	if k := coverageDraw(s.scratch, len(corpus)); k >= 0 {
+	p := RunPlan{Walk: StrategyCoverage, Seed: s.seed + int64(i), Corpus: len(corpus)}
+	var rng rand.PCG
+	seedPCG(&rng, p.Seed)
+	if k := coverageDraw(&rng, len(corpus)); k >= 0 {
 		p.Picks = corpus[k].picks
 	}
 	return p, PlanReady
 }
 
-// Plan hands the draw to the run's walk, which makes it against the
-// same corpus on the run's first pick.
 func (s *coverageStrategy) Plan(i int) (PickFunc, PlanState) {
-	p, corpus, st := s.generation(i)
+	p, st := s.PlanRun(i)
 	if st != PlanReady {
 		return nil, st
 	}
-	return s.walks.take(i, p, corpus), PlanReady
+	return s.walks.take(i, p), PlanReady
 }
 
 func (s *coverageStrategy) Observe(fb Feedback) {
@@ -590,10 +584,10 @@ func (s *coverageStrategy) CoverageStats() CoverageStats {
 // to sample uniformly — always with an empty corpus, otherwise one run
 // in four, so the walk keeps discovering schedules no corpus
 // neighborhood reaches — or the index of the corpus entry to mutate.
-// PlanRun and the run's walk both make it, so the run's generator
-// reaches the walk's picks in the same state either way.
-func coverageDraw(rng *rand.Rand, corpus int) int {
-	if corpus == 0 || rng.Intn(4) == 0 {
+// PlanRun makes it to choose the parent, and the run's walk makes it
+// again to bring its generator to the state the picks start from.
+func coverageDraw(rng *rand.PCG, corpus int) int {
+	if corpus == 0 || intn(rng, 4) == 0 {
 		return -1
 	}
 	return pickWeighted(rng, corpus)
@@ -601,8 +595,8 @@ func coverageDraw(rng *rand.Rand, corpus int) int {
 
 // pickWeighted draws an index in [0, n) with weight k+1 — later entries
 // proportionally more often.
-func pickWeighted(rng *rand.Rand, n int) int {
-	r := rng.Intn(n * (n + 1) / 2)
+func pickWeighted(rng *rand.PCG, n int) int {
+	r := intn(rng, n*(n+1)/2)
 	for k := 0; k < n; k++ {
 		r -= k + 1
 		if r < 0 {

@@ -356,7 +356,7 @@ func (c *coordinator) nextShard() (explore.ShardSpec, bool) {
 	if len(c.buf) == 0 || short && !c.planEnded && c.observed < c.formed {
 		return explore.ShardSpec{}, false
 	}
-	spec := explore.ShardSpec{Start: c.formed, Plans: c.buf}
+	spec := explore.ShardSpec{Version: explore.ShardVersion, Start: c.formed, Plans: c.buf}
 	c.formed += len(c.buf)
 	c.buf = nil
 	return spec, true

@@ -464,7 +464,7 @@ func TestJournalIgnoresIncompleteShard(t *testing.T) {
 // input may panic, and a file the reader accepts must hold exactly one
 // valid, in-order run per plan of its header.
 func FuzzShardFile(f *testing.F) {
-	spec := explore.ShardSpec{Start: 4, Plans: []explore.RunPlan{
+	spec := explore.ShardSpec{Version: explore.ShardVersion, Start: 4, Plans: []explore.RunPlan{
 		{Walk: explore.StrategyRandom, Seed: 7}, {Walk: explore.StrategyRandom, Seed: 8},
 	}}
 	strat, err := explore.ShardStrategy(spec)

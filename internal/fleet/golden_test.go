@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"asyncg/internal/explore"
@@ -88,28 +89,45 @@ func TestFleetGolden(t *testing.T) {
 	}
 }
 
-// TestSeedPlanFixture: testdata/seed-journal/plan.json was written by an
-// earlier coordinator with every plan field set. It must still load to
-// the Plan the same flags build today, and a resume of it must run.
+// TestSeedPlanFixture: the plan.json files in testdata were written by
+// coordinators with every plan field set. seed-journal is a version-2
+// journal, whose shards drew from the old generator and reported ag1-
+// fingerprints: it must be refused, naming both versions, by LoadPlan
+// and by a resume. seed-journal-v3 must still load to the Plan the same
+// flags build today, and a resume of it must run.
 func TestSeedPlanFixture(t *testing.T) {
 	want := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyExhaustive, Seed: 7, Runs: 6,
 		Kinds: "io-order,latency", DelayBound: 3, POR: true, Chains: true, DebugStacks: true}, ShardRuns: 4, Metrics: true}
-	got, err := LoadPlan("testdata/seed-journal")
+	workers := startWorkers(t, 1)
+	resume := func(fixture string) (*explore.Result, error) {
+		b, err := os.ReadFile(filepath.Join("testdata", fixture, "plan.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "plan.json"), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := Run(context.Background(), Config{Plan: want, Workers: workers, Dir: dir, Resume: true})
+		return res, err
+	}
+
+	_, loadErr := LoadPlan("testdata/seed-journal")
+	_, resumeErr := resume("seed-journal")
+	for _, err := range []error{loadErr, resumeErr} {
+		if err == nil || !strings.Contains(err.Error(), "journal version 2") || !strings.Contains(err.Error(), "speaks 3") {
+			t.Errorf("version-2 journal: err = %v, want a refusal naming versions 2 and 3", err)
+		}
+	}
+
+	got, err := LoadPlan("testdata/seed-journal-v3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("LoadPlan = %+v, want %+v", got, want)
 	}
-	b, err := os.ReadFile("testdata/seed-journal/plan.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "plan.json"), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err := Run(context.Background(), Config{Plan: want, Workers: startWorkers(t, 1), Dir: dir, Resume: true})
+	res, err := resume("seed-journal-v3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,11 @@ const (
 
 // planFileVersion guards against resuming a journal written by an
 // incompatible coordinator. Version 2: shard headers carry RunPlan
-// lists ({start, plans}) instead of per-strategy payloads.
-const planFileVersion = 2
+// lists ({start, plans}) instead of per-strategy payloads. Version 3:
+// runs draw from the PCG generator and report ag2- fingerprints
+// (explore.ShardVersion 2), so a version-2 journal's shard files would
+// resume into a Result that mixes two generators and two formats.
+const planFileVersion = 3
 
 type planFile struct {
 	Version int  `json:"version"`

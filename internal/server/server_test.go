@@ -754,7 +754,7 @@ func TestShardJob(t *testing.T) {
 	}
 
 	const plans = `[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]`
-	code, v := postJob(t, ts, `{"target":"case:SO-17894000","shard":{"start":4,"plans":`+plans+`}}`)
+	code, v := postJob(t, ts, `{"target":"case:SO-17894000","shard":{"version":2,"start":4,"plans":`+plans+`}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST shard job: status %d", code)
 	}
@@ -777,12 +777,12 @@ func TestShardJob(t *testing.T) {
 		}
 	}
 
-	one := `{"start":0,"plans":[{"walk":"random"}]}`
+	one := `{"version":2,"start":0,"plans":[{"walk":"random"}]}`
 	for _, body := range []string{
 		`{"target":"case:SO-17894000","strategy":"random","shard":` + one + `}`,
 		`{"target":"case:SO-17894000","seed":7,"shard":` + one + `}`,
 		`{"target":"case:SO-17894000","runs":5,"shard":` + one + `}`,
-		`{"target":"case:SO-17894000","shard":{"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
+		`{"target":"case:SO-17894000","shard":{"version":2,"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
 		`{"target":"case:SO-17894000","feedback":true,"shard":` + one + `}`,
 	} {
 		if code, _ := postJob(t, ts, body); code != http.StatusBadRequest {
@@ -805,6 +805,39 @@ func TestShardJob(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusBadRequest || body.Field == "" || !strings.Contains(body.Error, body.Field) {
 		t.Errorf("retired shard shape: status %d, body %+v, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+}
+
+// TestShardVersionRefused: a shard without the current version — the
+// body a coordinator from before versioned shards sends, or one from
+// another generator and fingerprint format — is refused with a 400
+// naming the field, before anything runs.
+func TestShardVersionRefused(t *testing.T) {
+	s := New(Config{QueueSize: 2, Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const plans = `"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8}]`
+	for _, body := range []string{
+		`{"target":"case:SO-17894000","shard":{` + plans + `}}`,
+		`{"target":"case:SO-17894000","shard":{"version":1,` + plans + `}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refusal struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&refusal)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(refusal.Error, `"version"`) {
+			t.Errorf("POST %s: status %d, error %q, want 400 naming the version field", body, resp.StatusCode, refusal.Error)
+		}
 	}
 }
 
@@ -863,15 +896,17 @@ var jobBodies = []string{
 	`{"target":"case:SO-17894000","runs":1,"workers":-1}`,
 	`{"target":"x","runs":3,"workers":1}`,
 	`{"target":"case:SO-17894000","shardSeed":9}`,
-	`{"target":"case:SO-17894000","shard":{"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]}}`,
-	`{"target":"case:SO-17894000","strategy":"random","shard":{"start":0,"plans":[{"walk":"random"}]}}`,
-	`{"target":"case:SO-17894000","seed":7,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
-	`{"target":"case:SO-17894000","runs":5,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
-	`{"target":"case:SO-17894000","shard":{"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
-	`{"target":"case:SO-17894000","feedback":true,"shard":{"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","shard":{"version":2,"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8},{"walk":"random","seed":9},{"walk":"random","seed":10}]}}`,
+	`{"target":"case:SO-17894000","strategy":"random","shard":{"version":2,"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","seed":7,"shard":{"version":2,"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","runs":5,"shard":{"version":2,"start":0,"plans":[{"walk":"random"}]}}`,
+	`{"target":"case:SO-17894000","shard":{"version":2,"start":0,"plans":[{"walk":"delay","seed":1}]}}`,
+	`{"target":"case:SO-17894000","feedback":true,"shard":{"version":2,"start":0,"plans":[{"walk":"random"}]}}`,
 	`{"target":"case:SO-17894000","shard":{"strategy":"random","start":0,"runs":2}}`,
+	`{"target":"case:SO-17894000","shard":{"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8}]}}`,
+	`{"target":"case:SO-17894000","shard":{"version":1,"start":4,"plans":[{"walk":"random","seed":7},{"walk":"random","seed":8}]}}`,
 	`{"target":"case:SO-38140113","runs":64,"workers":2,"chains":true}`,
-	`{"target":"case:SO-17894000","kinds":"io-order,latency","noMetrics":true,"shard":{"start":3,"plans":[{"walk":"exhaustive","picks":[0,1]},{"walk":"coverage","seed":12,"corpus":2,"picks":[1]}]}}`,
+	`{"target":"case:SO-17894000","kinds":"io-order,latency","noMetrics":true,"shard":{"version":2,"start":3,"plans":[{"walk":"exhaustive","picks":[0,1]},{"walk":"coverage","seed":12,"corpus":2,"picks":[1]}]}}`,
 }
 
 // FuzzJobSpec drives the job decoder — JSON decoding into jobSpec and
