@@ -27,18 +27,22 @@ type allocWorkload struct {
 	// run parked out of order takes a chooser of its own. The cheap
 	// case-study walks average over several explorations so that one
 	// such exploration does not decide the gate.
-	ops    int
-	budget [2]float64
+	ops int
+	// metrics turns run metrics on (WithRunMetrics).
+	metrics bool
+	budget  [2]float64
 }
 
 // allocWorkloads are bench/'s three explore workloads — target,
-// strategy and run budget as in bench/workloads.go, every seed 1 — and
-// a coverage walk of the case study.
+// strategy and run budget as in bench/workloads.go, every seed 1 — a
+// coverage walk of the case study, and case-random with run metrics on,
+// as serve runs every job that does not set noMetrics.
 var allocWorkloads = []allocWorkload{
-	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, [2]float64{20.01, 23.04}},
-	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, [2]float64{3710.76, 3987.39}},
-	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, [2]float64{2804.23, 2894.73}},
-	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, [2]float64{22.94, 23.65}},
+	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, [2]float64{20.01, 23.04}},
+	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, [2]float64{3710.76, 3987.39}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, [2]float64{2804.23, 2894.73}},
+	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, [2]float64{22.94, 23.65}},
+	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, [2]float64{30.48, 31.70}},
 }
 
 // TestAllocBudget is the allocation gate: every exploration, runner
@@ -60,9 +64,12 @@ func TestAllocBudget(t *testing.T) {
 		for i, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", w.name, workers), func(t *testing.T) {
 				schedules := 0
+				opts := []Option{WithRuns(w.runs), WithWorkers(workers)}
+				if w.metrics {
+					opts = append(opts, WithRunMetrics())
+				}
 				perOp := testing.AllocsPerRun(w.ops, func() {
-					res, err := Run(context.Background(), tg,
-						WithRuns(w.runs), WithWorkers(workers), WithStrategy(w.strategy()))
+					res, err := Run(context.Background(), tg, append(opts, WithStrategy(w.strategy()))...)
 					if err != nil {
 						t.Fatal(err)
 					}

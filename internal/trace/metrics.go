@@ -138,9 +138,11 @@ type mframe struct {
 }
 
 // Metrics computes observability metrics online from the probe stream in
-// O(distinct APIs) memory. It implements eventloop.Probe plus the phase,
-// loop, and timer extensions and attaches through Loop.Probes() like
-// every other consumer.
+// O(distinct APIs) memory. It implements eventloop.Probe plus the loop
+// and timer extensions and attaches through Loop.Probes() like every
+// other consumer. It leaves out the phase extension on purpose: its
+// per-phase stats come from dispatch, and a phase subscriber makes the
+// loop allocate a PhaseInfo at every phase boundary.
 type Metrics struct {
 	clock Clock
 
@@ -236,12 +238,6 @@ func (m *Metrics) FunctionExit(fn *vm.Function, ret vm.Value, thrown *vm.Thrown)
 // APICall implements eventloop.Probe. Registrations and triggers carry
 // no metric of their own; execution counting happens at dispatch.
 func (m *Metrics) APICall(ev *vm.APIEvent) {}
-
-// PhaseEnter implements the optional phase extension.
-func (m *Metrics) PhaseEnter(info *vm.PhaseInfo) {}
-
-// PhaseExit implements the optional phase extension.
-func (m *Metrics) PhaseExit(info *vm.PhaseInfo) {}
 
 // LoopIteration implements the optional loop extension, tracking queue
 // high-water marks.
