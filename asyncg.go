@@ -72,7 +72,6 @@ type config struct {
 	disabled    bool
 	traceW      io.Writer
 	traceFmt    TraceFormat
-	traceCfg    trace.ExporterConfig
 	traceOn     bool
 	metricsOn   bool
 	sched       eventloop.Scheduler
@@ -84,8 +83,8 @@ type config struct {
 // options win.
 type Option func(*config)
 
-// WithLoop configures the event-loop simulator (tick/time limits,
-// virtual costs).
+// WithLoop configures the event-loop simulator (tick limit, iteration
+// cost).
 func WithLoop(opts eventloop.Options) Option {
 	return func(c *config) { c.loop = opts }
 }
@@ -145,8 +144,8 @@ func Disabled() Option {
 }
 
 // WithTrace streams a structured event trace of the run to w in the
-// given format. The trace is buffered in a bounded ring (see
-// WithTraceConfig) and written when Run finishes.
+// given format. The trace is buffered in a ring that keeps the last
+// trace.Capacity events, and written when Run finishes.
 func WithTrace(w io.Writer, format TraceFormat) Option {
 	return func(c *config) {
 		if format == "" {
@@ -156,13 +155,6 @@ func WithTrace(w io.Writer, format TraceFormat) Option {
 		c.traceFmt = format
 		c.traceOn = true
 	}
-}
-
-// WithTraceConfig tunes the trace exporter (ring capacity, drop policy,
-// nested-function and loop-iteration events). It implies nothing by
-// itself: combine with WithTrace, or read Session.Exporter directly.
-func WithTraceConfig(cfg trace.ExporterConfig) Option {
-	return func(c *config) { c.traceCfg = cfg; c.traceOn = true }
 }
 
 // WithMetrics attaches the online metrics registry; the Report's Metrics
@@ -261,7 +253,7 @@ func New(opts ...Option) *Session {
 		s.loop.Probes().Attach(s.analyzer)
 	}
 	if cfg.traceOn {
-		s.exporter = trace.NewExporter(s.loop, cfg.traceCfg)
+		s.exporter = trace.NewExporter(s.loop)
 		s.loop.Probes().Attach(s.exporter)
 	}
 	if cfg.metricsOn {
@@ -275,8 +267,8 @@ func New(opts ...Option) *Session {
 // Loop exposes the underlying event loop (e.g. to attach extra hooks).
 func (s *Session) Loop() *eventloop.Loop { return s.loop }
 
-// Exporter exposes the trace exporter (nil unless WithTrace or
-// WithTraceConfig was given) for mid-run inspection.
+// Exporter exposes the trace exporter (nil unless WithTrace) for
+// mid-run inspection.
 func (s *Session) Exporter() *trace.Exporter { return s.exporter }
 
 // Metrics exposes the metrics registry (nil unless WithMetrics) for

@@ -187,7 +187,7 @@ func BenchmarkAblationDebugStacks(b *testing.B) {
 // measured here with the builder in its cheapest configuration.
 func BenchmarkAblationDetectorsOnly(b *testing.B) {
 	runAcmeAir(b, benchLoad(), func(l *eventloop.Loop) {
-		cfg := asyncgraph.Config{Scheduling: true, Emitters: true, Promises: true, IO: true}
+		cfg := asyncgraph.Config{Promises: true}
 		builder := asyncgraph.NewBuilder(cfg)
 		l.Probes().Attach(builder)
 		l.Probes().Attach(detect.NewAnalyzer(builder, detect.DefaultConfig()))

@@ -216,7 +216,7 @@ func (c *Context) Await(aw *Awaiter, p *Promise) Value {
 // Net returns the session's simulated network, creating it on first use.
 func (c *Context) Net() *netio.Network {
 	if c.net == nil {
-		c.net = netio.New(c.loop, netio.Options{})
+		c.net = netio.New(c.loop)
 	}
 	return c.net
 }
@@ -247,7 +247,7 @@ func (c *Context) HTTPGet(port int, path string, onResponse *Function) *httpsim.
 // DB returns the session's simulated database, creating it on first use.
 func (c *Context) DB() *DB {
 	if c.db == nil {
-		c.db = mongosim.New(c.loop, mongosim.Options{})
+		c.db = mongosim.New(c.loop)
 	}
 	return c.db
 }
@@ -256,7 +256,7 @@ func (c *Context) DB() *DB {
 // use.
 func (c *Context) FS() *fssim.FS {
 	if c.fs == nil {
-		c.fs = fssim.New(c.loop, fssim.Options{})
+		c.fs = fssim.New(c.loop)
 	}
 	return c.fs
 }

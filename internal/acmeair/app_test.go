@@ -25,8 +25,8 @@ type env struct {
 func serve(t *testing.T, usePromises bool, program func(e *env)) *env {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 500_000})
-	n := netio.New(l, netio.Options{})
-	db := mongosim.New(l, mongosim.Options{})
+	n := netio.New(l)
+	db := mongosim.New(l)
 	LoadSampleData(db, DataSpec{Customers: 10, FlightsPerSegment: 3})
 	app := New(l, n, db, Config{Port: 9080, UsePromises: usePromises})
 	e := &env{l: l, n: n, db: db, app: app}
@@ -313,7 +313,7 @@ func TestParseFormTolerance(t *testing.T) {
 
 func TestSampleDataShape(t *testing.T) {
 	l := eventloop.New(eventloop.Options{})
-	db := mongosim.New(l, mongosim.Options{})
+	db := mongosim.New(l)
 	LoadSampleData(db, DataSpec{Customers: 5, FlightsPerSegment: 2})
 	nAirports := len(Airports())
 	wantSegments := nAirports * (nAirports - 1)

@@ -41,18 +41,13 @@ func captureStack() []string {
 	return out
 }
 
-// Config selects which API families the builder tracks. Disabling
-// promise tracking reproduces the paper's "nopromise" evaluation setting
-// of Fig. 6(a).
+// Config selects what the builder tracks beyond the API families it
+// always covers (emitters, timers, immediates, nextTick, and I/O).
+// Disabling promise tracking reproduces the paper's "nopromise"
+// evaluation setting of Fig. 6(a).
 type Config struct {
 	// Promises tracks promise creation, settlement, and reactions.
 	Promises bool
-	// Emitters tracks EventEmitter listener registration and emits.
-	Emitters bool
-	// Scheduling tracks timers, immediates, and nextTick callbacks.
-	Scheduling bool
-	// IO tracks file/network I/O requests and their completions.
-	IO bool
 	// ChainAnalysis maintains per-settlement promise-chain bookkeeping
 	// (walking the chain on every settle, as the tool's on-the-fly
 	// promise analyses do). It is the costly part of promise tracking
@@ -71,7 +66,7 @@ type Config struct {
 
 // DefaultConfig tracks everything; DebugStacks stays opt-in.
 func DefaultConfig() Config {
-	return Config{Promises: true, Emitters: true, Scheduling: true, IO: true, ChainAnalysis: true}
+	return Config{Promises: true, ChainAnalysis: true}
 }
 
 // pendingCR is one entry of the paper's L_pending lists: a registration
@@ -314,18 +309,7 @@ func (b *Builder) EnclosingCE() NodeID {
 
 // tracked reports whether the builder's config covers the API.
 func (b *Builder) tracked(api string) bool {
-	switch instrument.Categorize(api) {
-	case instrument.CatPromise:
-		return b.cfg.Promises
-	case instrument.CatEmitter:
-		return b.cfg.Emitters
-	case instrument.CatScheduling:
-		return b.cfg.Scheduling
-	case instrument.CatIO:
-		return b.cfg.IO
-	default:
-		return true
-	}
+	return b.cfg.Promises || instrument.Categorize(api) != instrument.CatPromise
 }
 
 // ensureTick guards against API events arriving outside any tracked

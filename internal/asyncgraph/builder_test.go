@@ -473,37 +473,3 @@ func TestAsyncAwaitGraph(t *testing.T) {
 		t.Fatalf("await executions = %d", awaitCR.Executions)
 	}
 }
-
-func TestNoIOConfigSkipsNetworkNodes(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.IO = false
-	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
-	b := NewBuilder(cfg)
-	l.Probes().Attach(b)
-	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
-		// An IO-categorized registration event must be ignored...
-		seq := l.NextRegSeq()
-		cb := vm.NewFunc("ioCb", func([]vm.Value) vm.Value { return vm.Undefined })
-		l.EmitAPIEvent(&vm.APIEvent{
-			API:  "fs.readFile",
-			Loc:  loc.Here(),
-			Regs: []vm.Registration{{Seq: seq, Callback: cb, Phase: "nextTick", Once: true, Role: "callback"}},
-		})
-		l.ScheduleTickJob(cb, nil, &vm.Dispatch{API: "fs.readFile", RegSeq: seq})
-		// ...while scheduling APIs stay tracked.
-		l.NextTick(loc.Here(), vm.NewFunc("t", func([]vm.Value) vm.Value { return vm.Undefined }))
-		return vm.Undefined
-	})
-	if err := l.Run(main); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Graph()
-	for _, n := range g.Nodes {
-		if n.API == "fs.readFile" {
-			t.Fatalf("IO node tracked despite IO=false: %+v", n)
-		}
-	}
-	if len(g.NodesOfKind(CE)) != 1 {
-		t.Fatalf("CE count = %d, want 1 (the nextTick)", len(g.NodesOfKind(CE)))
-	}
-}

@@ -106,7 +106,7 @@ func TestRaceBetweenIOCallbacks(t *testing.T) {
 	// Two network deliveries writing the same state: arrival order is
 	// timing-dependent.
 	a := analyze(t, func(l *eventloop.Loop) {
-		n := netio.New(l, netio.Options{})
+		n := netio.New(l)
 		last := state.NewCell(l, "lastChunk", loc.Here(), vm.Undefined)
 		x, y := n.Pipe(loc.Here())
 		p, q := n.Pipe(loc.Here())

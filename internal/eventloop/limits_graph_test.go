@@ -1,15 +1,13 @@
 package eventloop_test
 
-// External-package tests for the loop's limit paths with an Async
-// Graph builder attached: when a run is cut short by the tick limit,
-// the virtual-time limit, or StopOnUncaught, the partial graph built
-// so far stays observable — the tool's answer to "what was the loop
-// doing when we killed it".
+// External-package tests for the loop's limit path with an Async Graph
+// builder attached: when a run is cut short by the tick limit, the
+// partial graph built so far stays observable — the tool's answer to
+// "what was the loop doing when we killed it".
 
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"asyncg/internal/asyncgraph"
 	"asyncg/internal/eventloop"
@@ -69,85 +67,5 @@ func TestTickLimitLeavesPendingMicrotasksAndPartialGraph(t *testing.T) {
 	}
 	if len(g.Ticks) == 0 {
 		t.Fatal("no ticks committed to the partial graph")
-	}
-}
-
-func TestTimeLimitLeavesPartialGraph(t *testing.T) {
-	// Each timer callback burns 30ms of virtual CPU and re-arms itself;
-	// the 100ms budget stops the run after a few firings.
-	fired := 0
-	var rearm *vm.Function
-	var l0 *eventloop.Loop
-	rearm = vm.NewFunc("tick", func([]vm.Value) vm.Value {
-		fired++
-		l0.Work(30 * time.Millisecond)
-		l0.SetTimeout(loc.Here(), rearm, time.Millisecond)
-		return vm.Undefined
-	})
-	err, g := buildRun(t, eventloop.Options{TimeLimit: 100 * time.Millisecond}, func(l *eventloop.Loop) {
-		l0 = l
-		l.SetTimeout(loc.Here(), rearm, time.Millisecond)
-	})
-	if !errors.Is(err, eventloop.ErrTimeLimit) {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
-	}
-	if fired == 0 || fired > 10 {
-		t.Fatalf("fired %d times under a 100ms budget of 30ms callbacks", fired)
-	}
-	if countKind(g, asyncgraph.CE) < fired {
-		t.Fatalf("graph lost executions: CE=%d, fired=%d", countKind(g, asyncgraph.CE), fired)
-	}
-}
-
-func TestStopOnUncaughtTruncatesGraphAtTheCrash(t *testing.T) {
-	// Two timers; the first throws. With StopOnUncaught the second never
-	// executes, but its registration is already in the graph.
-	ranSecond := false
-	err, g := buildRun(t, eventloop.Options{StopOnUncaught: true}, func(l *eventloop.Loop) {
-		l.SetTimeout(loc.Here(), vm.NewFunc("boom", func([]vm.Value) vm.Value {
-			vm.Throw("kaboom")
-			return vm.Undefined
-		}), time.Millisecond)
-		l.SetTimeout(loc.Here(), vm.NewFunc("after", func([]vm.Value) vm.Value {
-			ranSecond = true
-			return vm.Undefined
-		}), 2*time.Millisecond)
-	})
-	if err == nil {
-		t.Fatal("StopOnUncaught run returned nil error")
-	}
-	if errors.Is(err, eventloop.ErrTickLimit) || errors.Is(err, eventloop.ErrTimeLimit) {
-		t.Fatalf("unexpected limit error: %v", err)
-	}
-	if ranSecond {
-		t.Fatal("callback ran after the uncaught exception")
-	}
-	if cr := countKind(g, asyncgraph.CR); cr < 2 {
-		t.Fatalf("second timer's registration missing from partial graph: CR=%d", cr)
-	}
-
-	// Default behaviour: the loop keeps going and the error is only
-	// recorded, so the second callback executes.
-	ranSecond = false
-	l := eventloop.New(eventloop.Options{})
-	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
-		l.SetTimeout(loc.Here(), vm.NewFunc("boom", func([]vm.Value) vm.Value {
-			vm.Throw("kaboom")
-			return vm.Undefined
-		}), time.Millisecond)
-		l.SetTimeout(loc.Here(), vm.NewFunc("after", func([]vm.Value) vm.Value {
-			ranSecond = true
-			return vm.Undefined
-		}), 2*time.Millisecond)
-		return vm.Undefined
-	})
-	if err := l.Run(main); err != nil {
-		t.Fatalf("default run failed: %v", err)
-	}
-	if !ranSecond {
-		t.Fatal("default run skipped the second callback")
-	}
-	if got := l.Uncaught(); len(got) != 1 {
-		t.Fatalf("uncaught count = %d", len(got))
 	}
 }

@@ -12,7 +12,6 @@ import (
 // nextTick bug in Fig. 1, whose Async Graph "grows infinitely").
 var (
 	ErrTickLimit = errors.New("eventloop: tick limit reached")
-	ErrTimeLimit = errors.New("eventloop: virtual time limit reached")
 	ErrReentrant = errors.New("eventloop: Run called while loop is running")
 	ErrStopped   = errors.New("eventloop: stopped by program")
 )
@@ -24,21 +23,12 @@ type Options struct {
 	// the bound is hit; the work done so far (and its Async Graph)
 	// remains observable.
 	TickLimit int
-	// TimeLimit bounds virtual time. 0 means no limit.
-	TimeLimit time.Duration
-	// CallbackCost is virtual time charged per top-level callback,
-	// modelling the non-zero duration of real callback execution.
-	CallbackCost time.Duration
 	// IterationCost is virtual time charged per event-loop iteration,
 	// modelling the real duration of a loop turn. Without it a
 	// recursive setImmediate would freeze the virtual clock and starve
 	// timers, which real Node does not do. 0 means
 	// DefaultIterationCost; negative disables the charge.
 	IterationCost time.Duration
-	// StopOnUncaught makes Run stop at the first uncaught exception
-	// instead of recording it and continuing (the default keeps
-	// analysing, like a debugger with an uncaughtException handler).
-	StopOnUncaught bool
 	// Scheduler resolves scheduling choice points (I/O completion
 	// order, same-deadline timer ties, latency jitter). nil keeps the
 	// historical deterministic order. See Scheduler and the explore
@@ -449,7 +439,9 @@ func (l *Loop) Invoke(fn *vm.Function, args []vm.Value, dispatch *vm.Dispatch) (
 }
 
 // invokeTop dispatches one top-level callback in the given phase,
-// enforcing tick and time limits and recording uncaught exceptions.
+// enforcing the tick limit and recording uncaught exceptions. An
+// uncaught exception does not stop the loop: analysis continues, like a
+// debugger with an uncaughtException handler.
 func (l *Loop) invokeTop(t task, phase Phase) {
 	if d := t.dispatch; d != nil && d.Pooled {
 		// A pooled dispatch is consumed by its dispatch attempt: hooks may
@@ -469,9 +461,6 @@ func (l *Loop) invokeTop(t task, phase Phase) {
 	l.ticksRun++
 	prev := l.phase
 	l.phase = phase
-	if l.opts.CallbackCost > 0 {
-		l.now += l.opts.CallbackCost
-	}
 	ret, thrown := l.Invoke(t.fn, t.args, t.dispatch)
 	l.phase = prev
 	if t.after != nil {
@@ -480,12 +469,6 @@ func (l *Loop) invokeTop(t task, phase Phase) {
 	}
 	if thrown != nil {
 		l.uncaught = append(l.uncaught, UncaughtError{Thrown: thrown, Phase: phase, Tick: l.ticksRun})
-		if l.opts.StopOnUncaught && l.stopErr == nil {
-			l.stopErr = UncaughtError{Thrown: thrown, Phase: phase, Tick: l.ticksRun}
-		}
-	}
-	if l.opts.TimeLimit > 0 && l.now > l.opts.TimeLimit && l.stopErr == nil {
-		l.stopErr = ErrTimeLimit
 	}
 }
 

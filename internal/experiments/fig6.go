@@ -88,8 +88,8 @@ func RunAcmeAir(load LoadSpec, attach func(*eventloop.Loop)) (workload.Stats, ti
 	if attach != nil {
 		attach(loop)
 	}
-	net := netio.New(loop, netio.Options{})
-	db := mongosim.New(loop, mongosim.Options{})
+	net := netio.New(loop)
+	db := mongosim.New(loop)
 	acmeair.LoadSampleData(db, load.Data)
 	app := acmeair.New(loop, net, db, acmeair.Config{UsePromises: true})
 	driver := workload.NewDriver(net, workload.Options{

@@ -153,8 +153,8 @@ func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 		opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 100_000_000})}, extra...)
 		r.session = asyncg.New(opts...)
 		loop := r.session.Loop()
-		r.net = netio.New(loop, netio.Options{})
-		r.db = mongosim.New(loop, mongosim.Options{})
+		r.net = netio.New(loop)
+		r.db = mongosim.New(loop)
 		acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
 		r.db.Seal()
 	} else {
@@ -270,7 +270,7 @@ type RunResult struct {
 	// Warnings lists the run's warning keys ("category @ location"),
 	// sorted and deduplicated.
 	Warnings []string `json:"warnings,omitempty"`
-	// Err records a run-limit error (tick/time limit), if any.
+	// Err records a run-limit error (tick limit), if any.
 	Err string `json:"err,omitempty"`
 	// Ticks is the number of top-level callbacks executed.
 	Ticks int `json:"ticks"`

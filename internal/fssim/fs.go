@@ -18,14 +18,8 @@ import (
 	"asyncg/internal/vm"
 )
 
-// Options configures the simulated file system.
-type Options struct {
-	// Latency is the virtual I/O latency per operation.
-	Latency time.Duration
-}
-
-// DefaultLatency applies when Options.Latency is zero.
-const DefaultLatency = 300 * time.Microsecond
+// Latency is the virtual I/O latency per operation.
+const Latency = 300 * time.Microsecond
 
 // Stat describes a file, as delivered to stat callbacks.
 type Stat struct {
@@ -36,27 +30,22 @@ type Stat struct {
 
 // FS is an in-memory file system bound to one event loop.
 type FS struct {
-	loop    *eventloop.Loop
-	latency time.Duration
-	files   map[string][]byte
-	mtimes  map[string]time.Duration
-	keys    map[string]uint64 // per-path independence keys (POR)
+	loop   *eventloop.Loop
+	files  map[string][]byte
+	mtimes map[string]time.Duration
+	keys   map[string]uint64 // per-path independence keys (POR)
 }
 
 // New creates an empty file system and registers its reset hook: when
 // the loop is reset the file system empties itself (contents, mtimes and
 // independence keys — key sequences restart with the loop), keeping the
 // map storage for the next run.
-func New(l *eventloop.Loop, opts Options) *FS {
-	if opts.Latency == 0 {
-		opts.Latency = DefaultLatency
-	}
+func New(l *eventloop.Loop) *FS {
 	f := &FS{
-		loop:    l,
-		latency: opts.Latency,
-		files:   make(map[string][]byte),
-		mtimes:  make(map[string]time.Duration),
-		keys:    make(map[string]uint64),
+		loop:   l,
+		files:  make(map[string][]byte),
+		mtimes: make(map[string]time.Duration),
+		keys:   make(map[string]uint64),
 	}
 	l.OnReset(f.reset)
 	return f
@@ -126,7 +115,7 @@ func (f *FS) run(at loc.Loc, api string, key uint64, cb *vm.Function, op func() 
 		f.loop.ScheduleTickJob(cb, []vm.Value{errVal, res}, d)
 		return vm.Undefined
 	})
-	dp := f.loop.ScheduleIOKeyedDispatch(f.loop.Now()+f.loop.PerturbLatency(f.latency), key, ioFn, nil)
+	dp := f.loop.ScheduleIOKeyedDispatch(f.loop.Now()+f.loop.PerturbLatency(Latency), key, ioFn, nil)
 	dp.API = api
 }
 
@@ -145,7 +134,7 @@ func (f *FS) runP(at loc.Loc, api string, key uint64, op func() (vm.Value, error
 		p.Resolve(loc.Internal, res)
 		return vm.Undefined
 	})
-	dp := f.loop.ScheduleIOKeyedDispatch(f.loop.Now()+f.loop.PerturbLatency(f.latency), key, ioFn, nil)
+	dp := f.loop.ScheduleIOKeyedDispatch(f.loop.Now()+f.loop.PerturbLatency(Latency), key, ioFn, nil)
 	dp.API = api
 	return p
 }

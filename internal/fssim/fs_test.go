@@ -12,7 +12,7 @@ import (
 func run(t *testing.T, program func(l *eventloop.Loop, fs *FS)) *eventloop.Loop {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
-	fs := New(l, Options{})
+	fs := New(l)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		program(l, fs)
 		return vm.Undefined
@@ -201,7 +201,7 @@ func TestLatencyAdvancesClock(t *testing.T) {
 		fs.Seed("/f", []byte("x"))
 		fs.ReadFile(loc.Here(), "/f", cb("read", func(err, res vm.Value) {}))
 	})
-	if l.Now() < DefaultLatency {
+	if l.Now() < Latency {
 		t.Fatalf("clock = %v", l.Now())
 	}
 }

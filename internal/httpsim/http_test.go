@@ -14,7 +14,7 @@ import (
 func serve(t *testing.T, program func(l *eventloop.Loop, n *netio.Network)) *eventloop.Loop {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 50_000})
-	n := netio.New(l, netio.Options{})
+	n := netio.New(l)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		program(l, n)
 		return vm.Undefined

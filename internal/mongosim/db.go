@@ -11,22 +11,15 @@ import (
 	"asyncg/internal/vm"
 )
 
-// Options configures the simulated database.
-type Options struct {
+const (
 	// Latency is the virtual I/O latency per operation.
-	Latency time.Duration
+	Latency = 800 * time.Microsecond
 	// DriverTicks is the number of internal process.nextTick hops the
 	// driver performs per operation before delivering the result,
 	// modelling the real mongodb driver's internal deferrals. These
 	// hops are what makes nextTick the most-executed async API per
 	// AcmeAir request in the paper's Fig. 6(b).
-	DriverTicks int
-}
-
-// Defaults applied when Options fields are zero.
-const (
-	DefaultLatency     = 800 * time.Microsecond
-	DefaultDriverTicks = 4
+	DriverTicks = 4
 )
 
 // DB is a simulated MongoDB instance bound to one event loop.
@@ -39,7 +32,6 @@ const (
 // as do pooled op/hop records and cursor emitters.
 type DB struct {
 	loop        *eventloop.Loop
-	opts        Options
 	collections map[string]*Collection
 	idSeq       int64
 
@@ -57,16 +49,9 @@ type DB struct {
 }
 
 // New creates a database and registers its reset hook.
-func New(l *eventloop.Loop, opts Options) *DB {
-	if opts.Latency == 0 {
-		opts.Latency = DefaultLatency
-	}
-	if opts.DriverTicks == 0 {
-		opts.DriverTicks = DefaultDriverTicks
-	}
+func New(l *eventloop.Loop) *DB {
 	db := &DB{
 		loop:        l,
-		opts:        opts,
 		collections: make(map[string]*Collection),
 	}
 	l.OnReset(db.reset)
@@ -233,7 +218,7 @@ func (db *DB) borrowOp() *opRecord {
 func (r *opRecord) invoke([]vm.Value) vm.Value {
 	res := r.op()
 	h := r.db.borrowHopper()
-	h.k = r.db.opts.DriverTicks
+	h.k = DriverTicks
 	h.res = res
 	h.deliver = r.deliver
 	r.op, r.deliver = nil, nil
@@ -248,7 +233,7 @@ func (r *opRecord) invoke([]vm.Value) vm.Value {
 // to reschedule itself to the recursive-microtask detector.
 type hopper struct {
 	db      *DB
-	fns     []*vm.Function
+	fns     [DriverTicks]*vm.Function
 	k       int
 	res     result
 	deliver func(result)
@@ -261,7 +246,7 @@ func (db *DB) borrowHopper() *hopper {
 		db.hopFree = db.hopFree[:n-1]
 		return h
 	}
-	h := &hopper{db: db, fns: make([]*vm.Function, db.opts.DriverTicks)}
+	h := &hopper{db: db}
 	for i := range h.fns {
 		h.fns[i] = vm.NewFuncAt("(driver.hop)", loc.Internal, func([]vm.Value) vm.Value {
 			h.step()
@@ -294,7 +279,7 @@ func (c *Collection) run(api string, key uint64, op func() result, deliver func(
 	l := c.db.loop
 	r := c.db.borrowOp()
 	r.op, r.deliver = op, deliver
-	dp := l.ScheduleIOKeyedDispatch(l.Now()+l.PerturbLatency(c.db.opts.Latency), key, r.fn, nil)
+	dp := l.ScheduleIOKeyedDispatch(l.Now()+l.PerturbLatency(Latency), key, r.fn, nil)
 	dp.API = api
 }
 

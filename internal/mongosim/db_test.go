@@ -13,7 +13,7 @@ import (
 func run(t *testing.T, program func(l *eventloop.Loop, db *DB)) *eventloop.Loop {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 100_000})
-	db := New(l, Options{})
+	db := New(l)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		program(l, db)
 		return vm.Undefined
@@ -249,7 +249,7 @@ func TestAwaitOnDBPromises(t *testing.T) {
 
 func TestDriverTicksGenerateNextTickActivity(t *testing.T) {
 	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
-	db := New(l, Options{DriverTicks: 3})
+	db := New(l)
 	metrics := trace.NewMetrics(l)
 	l.Probes().Attach(metrics)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
@@ -259,8 +259,8 @@ func TestDriverTicksGenerateNextTickActivity(t *testing.T) {
 	if err := l.Run(main); err != nil {
 		t.Fatal(err)
 	}
-	if got := metrics.Snapshot().PerAPI["process.nextTick"].Count; got != 3 {
-		t.Fatalf("driver nextTick executions = %d, want 3", got)
+	if got := metrics.Snapshot().PerAPI["process.nextTick"].Count; got != DriverTicks {
+		t.Fatalf("driver nextTick executions = %d, want %d", got, DriverTicks)
 	}
 }
 

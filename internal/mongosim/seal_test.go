@@ -80,12 +80,12 @@ func nextID(t *testing.T, l *eventloop.Loop, db *mongosim.DB) any {
 }
 
 func TestSealedResetRestoresImage(t *testing.T) {
-	fresh := mongosim.New(eventloop.New(eventloop.Options{}), mongosim.Options{})
+	fresh := mongosim.New(eventloop.New(eventloop.Options{}))
 	acmeair.LoadSampleData(fresh, acmeair.DefaultDataSpec())
 	want := fresh.Contents()
 
 	l := eventloop.New(eventloop.Options{TickLimit: 100_000})
-	db := mongosim.New(l, mongosim.Options{})
+	db := mongosim.New(l)
 	acmeair.LoadSampleData(db, acmeair.DefaultDataSpec())
 	db.Seal()
 	for run := 0; run < 2; run++ {
@@ -105,7 +105,7 @@ func TestSealedResetRestoresImage(t *testing.T) {
 
 func TestUnsealedResetEmpties(t *testing.T) {
 	l := eventloop.New(eventloop.Options{TickLimit: 100_000})
-	db := mongosim.New(l, mongosim.Options{})
+	db := mongosim.New(l)
 	acmeair.LoadSampleData(db, acmeair.DefaultDataSpec())
 	l.Reset()
 	if got := db.Contents(); len(got) != 0 {

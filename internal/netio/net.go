@@ -39,15 +39,8 @@ const (
 	EventListening  = "listening"
 )
 
-// DefaultLatency is the one-way delivery latency applied when Options
-// leaves Latency zero.
-const DefaultLatency = 500 * time.Microsecond
-
-// Options configures a Network.
-type Options struct {
-	// Latency is the one-way virtual latency of every delivery.
-	Latency time.Duration
-}
+// Latency is the one-way virtual latency of every delivery.
+const Latency = 500 * time.Microsecond
 
 // nameKey interns the per-connection diagnostic names: connection ids
 // restart from 1 after a reset, so the same names recur run after run.
@@ -60,7 +53,6 @@ type nameKey struct {
 // deliveries. One Network per loop.
 type Network struct {
 	loop      *eventloop.Loop
-	latency   time.Duration
 	listeners map[int]*Server
 	connSeq   int
 
@@ -76,13 +68,9 @@ type Network struct {
 }
 
 // New creates a network bound to the loop and registers its reset hook.
-func New(l *eventloop.Loop, opts Options) *Network {
-	if opts.Latency == 0 {
-		opts.Latency = DefaultLatency
-	}
+func New(l *eventloop.Loop) *Network {
 	n := &Network{
 		loop:      l,
-		latency:   opts.Latency,
 		listeners: make(map[int]*Server),
 		names:     make(map[nameKey]string),
 	}
@@ -142,9 +130,6 @@ func (n *Network) cachedName(form byte, id int) string {
 
 // Loop returns the event loop this network schedules on.
 func (n *Network) Loop() *eventloop.Loop { return n.loop }
-
-// Latency returns the configured one-way latency.
-func (n *Network) Latency() time.Duration { return n.latency }
 
 // Delivery kinds. Each kind has its own free list because the wrapped
 // vm.Function — allocated once per record — carries the kind's API name.
@@ -264,7 +249,7 @@ func (d *delivery) handshake() {
 // that touch shared network state (handshakes mutate the listener's
 // accept queue and allocate the server-side socket) pass 0.
 func (n *Network) send(d *delivery, key uint64) {
-	dp := n.loop.ScheduleIOKeyedDispatch(n.loop.Now()+n.loop.PerturbLatency(n.latency), key, d.fn, nil)
+	dp := n.loop.ScheduleIOKeyedDispatch(n.loop.Now()+n.loop.PerturbLatency(Latency), key, d.fn, nil)
 	dp.API = delivAPIs[d.kind]
 }
 

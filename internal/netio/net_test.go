@@ -13,7 +13,7 @@ import (
 func run(t *testing.T, program func(l *eventloop.Loop, n *Network)) *eventloop.Loop {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 10_000})
-	n := New(l, Options{})
+	n := New(l)
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		program(l, n)
 		return vm.Undefined
@@ -192,8 +192,8 @@ func TestLatencyAdvancesVirtualClock(t *testing.T) {
 		b.On(loc.Here(), EventData, fn("onData", func([]vm.Value) {}))
 		a.WriteString(loc.Here(), "x")
 	})
-	if l.Now() < DefaultLatency {
-		t.Fatalf("clock = %v, want >= %v", l.Now(), DefaultLatency)
+	if l.Now() < Latency {
+		t.Fatalf("clock = %v, want >= %v", l.Now(), Latency)
 	}
 }
 

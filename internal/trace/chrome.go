@@ -71,18 +71,6 @@ func chromeFrom(ev *Event) (chromeEvent, bool) {
 			PID: chromePID, TID: chromeTIDPhase, Cat: "phase",
 			Args: map[string]any{"iteration": ev.Iteration, "runnable": ev.Runnable},
 		}, true
-	case KindLoop:
-		ce := chromeEvent{
-			Name: "queues", Ph: "C", TS: micros(ev.TS),
-			PID: chromePID, TID: chromeTIDPhase,
-		}
-		if d := ev.Depths; d != nil {
-			ce.Args = map[string]any{
-				"nextTick": d.NextTick, "promise": d.Promise, "timer": d.Timer,
-				"io": d.IO, "immediate": d.Immediate, "close": d.Close,
-			}
-		}
-		return ce, true
 	case KindTimerFire:
 		return chromeEvent{
 			Name: "timer-fire", Ph: "i", TS: micros(ev.TS),

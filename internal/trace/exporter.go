@@ -8,23 +8,9 @@ import (
 	"asyncg/internal/vm"
 )
 
-// DefaultCapacity is the exporter's ring size when the config leaves it 0.
-const DefaultCapacity = 65536
-
-// ExporterConfig parameterizes an Exporter.
-type ExporterConfig struct {
-	// Capacity bounds the retained event count; 0 means DefaultCapacity.
-	Capacity int
-	// Policy picks which events to discard when the ring is full.
-	Policy DropPolicy
-	// Functions also records nested (non-top-level) callback frames as
-	// CE events. Off by default: top-level CEs are the tick structure;
-	// nested frames multiply event volume.
-	Functions bool
-	// Loops records one event per loop iteration with queue depths. Off
-	// by default; metrics consume iteration data without the ring cost.
-	Loops bool
-}
+// Capacity is the exporter's ring size: a run that emits more events
+// keeps the last Capacity of them.
+const Capacity = 65536
 
 // frame tracks one in-flight callback execution.
 type frame struct {
@@ -38,16 +24,18 @@ type frame struct {
 }
 
 // Exporter converts the probe stream into structured Events in a bounded
-// ring buffer. It implements eventloop.Probe plus the phase, loop, and
-// timer extensions, so it attaches exactly like the Async Graph builder:
+// ring buffer. It implements eventloop.Probe plus the phase and timer
+// extensions, so it attaches exactly like the Async Graph builder:
 //
-//	exp := trace.NewExporter(loop, trace.ExporterConfig{})
+//	exp := trace.NewExporter(loop)
 //	loop.Probes().Attach(exp)
 //	... run ...
 //	exp.WriteTo(w, trace.FormatNDJSON)
+//
+// Only top-level callbacks become CE events: they are the tick
+// structure, and nested frames would multiply the event volume.
 type Exporter struct {
 	clock Clock
-	cfg   ExporterConfig
 	ring  *Ring
 	seq   uint64
 	tick  int
@@ -56,11 +44,8 @@ type Exporter struct {
 
 // NewExporter creates an exporter reading virtual time from clock
 // (normally the *eventloop.Loop it attaches to).
-func NewExporter(clock Clock, cfg ExporterConfig) *Exporter {
-	if cfg.Capacity == 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	return &Exporter{clock: clock, cfg: cfg, ring: NewRing(cfg.Capacity, cfg.Policy)}
+func NewExporter(clock Clock) *Exporter {
+	return &Exporter{clock: clock, ring: NewRing(Capacity)}
 }
 
 // Reset returns the exporter to its initial state — empty ring, sequence
@@ -115,7 +100,7 @@ func (e *Exporter) FunctionExit(fn *vm.Function, ret vm.Value, thrown *vm.Thrown
 	}
 	f := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
-	if !f.topLevel && !e.cfg.Functions {
+	if !f.topLevel {
 		return
 	}
 	e.emit(Event{
@@ -180,17 +165,6 @@ func (e *Exporter) PhaseExit(info *vm.PhaseInfo) {
 	e.emit(Event{
 		Kind: KindPhaseExit, TS: info.Now, Phase: info.Phase,
 		Iteration: info.Iteration, Runnable: info.Runnable,
-	})
-}
-
-// LoopIteration implements the optional loop extension.
-func (e *Exporter) LoopIteration(info *vm.LoopInfo) {
-	if !e.cfg.Loops {
-		return
-	}
-	depths := info.Depths
-	e.emit(Event{
-		Kind: KindLoop, TS: info.Now, Iteration: info.Iteration, Depths: &depths,
 	})
 }
 

@@ -19,13 +19,13 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden trace files")
 
 // The exporter and metrics registry must attach through the unified
-// probe surface. The exporter implements every optional extension; the
-// metrics registry leaves out the phase extension, since subscribing to
-// it would make the loop build a PhaseInfo per phase for nothing.
+// probe surface. Each leaves out the extension whose events it does not
+// use, since subscribing would make the loop build a payload per event
+// for nothing: the exporter the loop-iteration extension, the metrics
+// registry the phase extension.
 var (
 	_ eventloop.Probe      = (*trace.Exporter)(nil)
 	_ eventloop.PhaseProbe = (*trace.Exporter)(nil)
-	_ eventloop.LoopProbe  = (*trace.Exporter)(nil)
 	_ eventloop.TimerProbe = (*trace.Exporter)(nil)
 	_ eventloop.Probe      = (*trace.Metrics)(nil)
 	_ eventloop.LoopProbe  = (*trace.Metrics)(nil)
@@ -40,10 +40,10 @@ func gl(line int) loc.Loc { return loc.Loc{File: "golden.js", Line: line} }
 // event kind: nextTick (CR/CE), timers with work (CR/CE/timer-fire and a
 // phase span), an interval cleared after two fires (API), a dead
 // clearTimeout (API), an emitter (OB/CR/CT), and an immediate.
-func runGoldenProgram(t *testing.T, cfg trace.ExporterConfig) *trace.Exporter {
+func runGoldenProgram(t *testing.T) *trace.Exporter {
 	t.Helper()
 	loop := eventloop.New(eventloop.Options{})
-	exp := trace.NewExporter(loop, cfg)
+	exp := trace.NewExporter(loop)
 	loop.Probes().Attach(exp)
 
 	fires := 0
@@ -106,7 +106,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 }
 
 func TestGoldenNDJSON(t *testing.T) {
-	exp := runGoldenProgram(t, trace.ExporterConfig{Loops: true})
+	exp := runGoldenProgram(t)
 	var buf bytes.Buffer
 	if err := exp.WriteTo(&buf, trace.FormatNDJSON); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestGoldenNDJSON(t *testing.T) {
 }
 
 func TestGoldenChrome(t *testing.T) {
-	exp := runGoldenProgram(t, trace.ExporterConfig{Loops: true})
+	exp := runGoldenProgram(t)
 	var buf bytes.Buffer
 	if err := exp.WriteTo(&buf, trace.FormatChrome); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestGoldenChrome(t *testing.T) {
 // TestChromeSchema validates the acceptance shape: the chrome output is
 // a JSON array whose every element carries name, ph, ts, pid, and tid.
 func TestChromeSchema(t *testing.T) {
-	exp := runGoldenProgram(t, trace.ExporterConfig{Loops: true})
+	exp := runGoldenProgram(t)
 	var buf bytes.Buffer
 	if err := exp.WriteTo(&buf, trace.FormatChrome); err != nil {
 		t.Fatal(err)
@@ -147,8 +147,8 @@ func TestChromeSchema(t *testing.T) {
 		}
 		phases[ev["ph"].(string)] = true
 	}
-	// Complete slices, instants, phase spans, and counters all present.
-	for _, ph := range []string{"X", "i", "B", "E", "C"} {
+	// Complete slices, instants, and phase spans all present.
+	for _, ph := range []string{"X", "i", "B", "E"} {
 		if !phases[ph] {
 			t.Errorf("no %q events in chrome trace", ph)
 		}
@@ -158,7 +158,7 @@ func TestChromeSchema(t *testing.T) {
 // TestNDJSONStreamShape decodes every line and checks kind coverage and
 // the closing summary.
 func TestNDJSONStreamShape(t *testing.T) {
-	exp := runGoldenProgram(t, trace.ExporterConfig{Loops: true})
+	exp := runGoldenProgram(t)
 	var buf bytes.Buffer
 	if err := exp.WriteTo(&buf, trace.FormatNDJSON); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestNDJSONStreamShape(t *testing.T) {
 	}
 	for _, k := range []trace.Kind{
 		trace.KindCR, trace.KindCE, trace.KindCT, trace.KindOB, trace.KindAPI,
-		trace.KindPhaseEnter, trace.KindPhaseExit, trace.KindLoop,
+		trace.KindPhaseEnter, trace.KindPhaseExit,
 		trace.KindTimerFire, trace.KindSummary,
 	} {
 		if kinds[k] == 0 {
@@ -199,15 +199,38 @@ func TestNDJSONStreamShape(t *testing.T) {
 	}
 }
 
-// TestExporterRingCapsDroppedRuns wires a tiny ring through a real run
-// and checks the exporter-level accounting.
+// TestExporterRingCapsDroppedRuns overflows the exporter's ring with a
+// real run and checks the exporter-level accounting: the last Capacity
+// events are retained, and every earlier one is counted as dropped.
 func TestExporterRingCapsDroppedRuns(t *testing.T) {
-	exp := runGoldenProgram(t, trace.ExporterConfig{Capacity: 8, Loops: true})
-	if got := len(exp.Events()); got != 8 {
-		t.Fatalf("retained %d events, want 8", got)
+	loop := eventloop.New(eventloop.Options{})
+	exp := trace.NewExporter(loop)
+	loop.Probes().Attach(exp)
+	// Each hop is one CR and one CE event.
+	hops := 0
+	var hop *vm.Function
+	hop = vm.NewFuncAt("hop", gl(1), func([]vm.Value) vm.Value {
+		if hops++; hops < trace.Capacity {
+			loop.NextTick(gl(1), hop)
+		}
+		return vm.Undefined
+	})
+	if err := loop.Run(vm.NewFuncAt("main", gl(2), func([]vm.Value) vm.Value {
+		loop.NextTick(gl(2), hop)
+		return vm.Undefined
+	})); err != nil {
+		t.Fatal(err)
 	}
-	if exp.Dropped() == 0 {
-		t.Fatal("no drops recorded despite tiny capacity")
+	evs := exp.Events()
+	if len(evs) != trace.Capacity {
+		t.Fatalf("retained %d events, want %d", len(evs), trace.Capacity)
+	}
+	dropped := exp.Dropped()
+	if dropped == 0 {
+		t.Fatal("no drops recorded despite overflowing the ring")
+	}
+	if first, last := evs[0].Seq, evs[len(evs)-1].Seq; first != dropped+1 || last != dropped+uint64(trace.Capacity) {
+		t.Fatalf("retained seqs %d..%d, want the newest %d..%d", first, last, dropped+1, dropped+uint64(trace.Capacity))
 	}
 	var buf bytes.Buffer
 	if err := exp.WriteTo(&buf, trace.FormatNDJSON); err != nil {

@@ -1,53 +1,28 @@
 package trace
 
-// DropPolicy decides which event loses when the ring buffer is full.
-type DropPolicy int
-
-// Drop policies.
-const (
-	// DropOldest overwrites the oldest retained event — the trace keeps
-	// the most recent window, the right default for "what just
-	// happened?" debugging.
-	DropOldest DropPolicy = iota
-	// DropNewest discards the incoming event — the trace keeps the run's
-	// prefix, useful for startup analysis.
-	DropNewest
-)
-
-// String names the drop policy for configuration output.
-func (p DropPolicy) String() string {
-	switch p {
-	case DropOldest:
-		return "drop-oldest"
-	case DropNewest:
-		return "drop-newest"
-	default:
-		return "drop-?"
-	}
-}
-
 // Ring is a bounded event buffer: Push is O(1), memory is O(capacity),
 // and the drop counter records how much of the stream fell outside the
-// window. It is not safe for concurrent use — probe hooks all run on the
-// loop goroutine.
+// window. When full it drops the oldest event, so the trace keeps the
+// most recent window — the right one for "what just happened?"
+// debugging. It is not safe for concurrent use — probe hooks all run on
+// the loop goroutine.
 type Ring struct {
 	buf     []Event
 	head    int // index of the oldest retained event
 	n       int // retained count
 	dropped uint64
-	policy  DropPolicy
 }
 
 // NewRing creates a ring holding at most capacity events; capacity < 1
 // is treated as 1.
-func NewRing(capacity int, policy DropPolicy) *Ring {
+func NewRing(capacity int) *Ring {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring{buf: make([]Event, capacity), policy: policy}
+	return &Ring{buf: make([]Event, capacity)}
 }
 
-// Push records an event, applying the drop policy when full.
+// Push records an event, overwriting the oldest one when full.
 func (r *Ring) Push(ev Event) {
 	if r.n < len(r.buf) {
 		r.buf[(r.head+r.n)%len(r.buf)] = ev
@@ -55,10 +30,6 @@ func (r *Ring) Push(ev Event) {
 		return
 	}
 	r.dropped++
-	if r.policy == DropNewest {
-		return
-	}
-	// DropOldest: overwrite the head slot and advance the window.
 	r.buf[r.head] = ev
 	r.head = (r.head + 1) % len(r.buf)
 }
@@ -69,7 +40,7 @@ func (r *Ring) Len() int { return r.n }
 // Cap returns the ring capacity.
 func (r *Ring) Cap() int { return len(r.buf) }
 
-// Dropped returns how many events the policy discarded.
+// Dropped returns how many events were overwritten.
 func (r *Ring) Dropped() uint64 { return r.dropped }
 
 // Events returns the retained events, oldest first.

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ func mkEvent(i int) Event {
 }
 
 func TestRingBelowCapacityKeepsEverything(t *testing.T) {
-	r := NewRing(8, DropOldest)
+	r := NewRing(8)
 	for i := 0; i < 5; i++ {
 		r.Push(mkEvent(i))
 	}
@@ -27,7 +26,7 @@ func TestRingBelowCapacityKeepsEverything(t *testing.T) {
 }
 
 func TestRingDropOldestKeepsSuffix(t *testing.T) {
-	r := NewRing(4, DropOldest)
+	r := NewRing(4)
 	for i := 0; i < 10; i++ {
 		r.Push(mkEvent(i))
 	}
@@ -43,47 +42,28 @@ func TestRingDropOldestKeepsSuffix(t *testing.T) {
 	}
 }
 
-func TestRingDropNewestKeepsPrefix(t *testing.T) {
-	r := NewRing(4, DropNewest)
-	for i := 0; i < 10; i++ {
-		r.Push(mkEvent(i))
-	}
-	if r.Len() != 4 || r.Dropped() != 6 {
-		t.Fatalf("len=%d dropped=%d", r.Len(), r.Dropped())
-	}
-	evs := r.Events()
-	want := []uint64{1, 2, 3, 4}
-	for i, ev := range evs {
-		if ev.Seq != want[i] {
-			t.Fatalf("events = %v, want seqs %v", evs, want)
-		}
-	}
-}
-
 // TestRingBoundsMemoryAtScale is the acceptance check: a 100k-event
 // stream through a 1k ring retains exactly 1k events and accounts for
 // every drop.
 func TestRingBoundsMemoryAtScale(t *testing.T) {
 	const total, capacity = 100_000, 1_000
-	for _, policy := range []DropPolicy{DropOldest, DropNewest} {
-		r := NewRing(capacity, policy)
-		for i := 0; i < total; i++ {
-			r.Push(mkEvent(i))
-		}
-		if r.Len() != capacity {
-			t.Fatalf("%v: retained %d events, want %d", policy, r.Len(), capacity)
-		}
-		if got := r.Dropped(); got != total-capacity {
-			t.Fatalf("%v: dropped %d, want %d", policy, got, total-capacity)
-		}
-		if got := len(r.Events()); got != capacity {
-			t.Fatalf("%v: snapshot has %d events", policy, got)
-		}
+	r := NewRing(capacity)
+	for i := 0; i < total; i++ {
+		r.Push(mkEvent(i))
+	}
+	if r.Len() != capacity {
+		t.Fatalf("retained %d events, want %d", r.Len(), capacity)
+	}
+	if got := r.Dropped(); got != total-capacity {
+		t.Fatalf("dropped %d, want %d", got, total-capacity)
+	}
+	if got := len(r.Events()); got != capacity {
+		t.Fatalf("snapshot has %d events", got)
 	}
 }
 
 func TestRingReset(t *testing.T) {
-	r := NewRing(2, DropOldest)
+	r := NewRing(2)
 	for i := 0; i < 5; i++ {
 		r.Push(mkEvent(i))
 	}
@@ -98,7 +78,7 @@ func TestRingReset(t *testing.T) {
 }
 
 func TestRingTinyCapacity(t *testing.T) {
-	r := NewRing(0, DropOldest) // clamped to 1
+	r := NewRing(0) // clamped to 1
 	if r.Cap() != 1 {
 		t.Fatalf("cap = %d", r.Cap())
 	}
@@ -106,13 +86,5 @@ func TestRingTinyCapacity(t *testing.T) {
 	r.Push(mkEvent(1))
 	if r.Len() != 1 || r.Events()[0].Seq != 2 {
 		t.Fatalf("events = %v", r.Events())
-	}
-}
-
-func TestDropPolicyString(t *testing.T) {
-	for policy, want := range map[DropPolicy]string{DropOldest: "drop-oldest", DropNewest: "drop-newest"} {
-		if got := fmt.Sprint(policy); got != want {
-			t.Fatalf("%d renders as %q", policy, got)
-		}
 	}
 }

@@ -5,20 +5,18 @@
 // counts and virtual-time durations, queue-depth high-water marks, timer
 // loop lag, and per-API callback-latency histograms.
 //
-// Both consumers implement eventloop.Probe (plus the optional phase,
-// loop-iteration, and timer extensions) and attach through the same
-// Loop.Probes() fan-out as the Async Graph builder and the bug
-// detectors. The exporter buffers events in a bounded ring with a
-// configurable drop policy, so a run with millions of requests holds
-// O(capacity) memory instead of O(events); the metrics registry is
-// O(distinct APIs) regardless of run length.
+// Both consumers implement eventloop.Probe (plus some of the optional
+// phase, loop-iteration, and timer extensions) and attach through the
+// same Loop.Probes() fan-out as the Async Graph builder and the bug
+// detectors. The exporter buffers events in a ring that keeps the last
+// Capacity events, so a run with millions of requests holds O(capacity)
+// memory instead of O(events); the metrics registry is O(distinct APIs)
+// regardless of run length.
 package trace
 
 import (
 	"fmt"
 	"time"
-
-	"asyncg/internal/vm"
 )
 
 // Clock supplies virtual time to trace consumers. *eventloop.Loop
@@ -53,8 +51,6 @@ const (
 	// runnable work.
 	KindPhaseEnter Kind = "phase-enter"
 	KindPhaseExit  Kind = "phase-exit"
-	// KindLoop is one event-loop iteration with its queue depths.
-	KindLoop Kind = "loop"
 	// KindTimerFire is an imminent timer dispatch with its loop lag.
 	KindTimerFire Kind = "timer-fire"
 	// KindSummary is the trailer event NDJSON output ends with, carrying
@@ -99,12 +95,10 @@ type Event struct {
 	Zone string `json:"zone,omitempty"`
 	// Thrown marks CE events whose callback raised.
 	Thrown bool `json:"thrown,omitempty"`
-	// Iteration is the loop-iteration count (loop, phase events).
+	// Iteration is the loop-iteration count (phase events).
 	Iteration uint64 `json:"iter,omitempty"`
 	// Runnable is the phase's dispatchable-callback census (phase events).
 	Runnable int `json:"runnable,omitempty"`
-	// Depths is the queue census of loop events.
-	Depths *vm.QueueDepths `json:"depths,omitempty"`
 	// Lag is the scheduled-to-fired delay of timer-fire events.
 	Lag time.Duration `json:"lag,omitempty"`
 	// Dropped is the ring's drop count (summary events only).

@@ -20,8 +20,8 @@ import (
 func runLoad(t *testing.T, usePromises bool, opts Options) (*Driver, *eventloop.Loop) {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 5_000_000})
-	n := netio.New(l, netio.Options{})
-	db := mongosim.New(l, mongosim.Options{})
+	n := netio.New(l)
+	db := mongosim.New(l)
 	acmeair.LoadSampleData(db, acmeair.DataSpec{Customers: 20, FlightsPerSegment: 3})
 	app := acmeair.New(l, n, db, acmeair.Config{Port: opts.Port, UsePromises: usePromises})
 	opts.Port = app.Port()
@@ -115,8 +115,8 @@ func TestInjectedRandMatchesSeed(t *testing.T) {
 
 func TestOnDoneFires(t *testing.T) {
 	l := eventloop.New(eventloop.Options{TickLimit: 5_000_000})
-	n := netio.New(l, netio.Options{})
-	db := mongosim.New(l, mongosim.Options{})
+	n := netio.New(l)
+	db := mongosim.New(l)
 	acmeair.LoadSampleData(db, acmeair.DataSpec{Customers: 5, FlightsPerSegment: 2})
 	app := acmeair.New(l, n, db, acmeair.Config{})
 	d := NewDriver(n, Options{Port: app.Port(), Clients: 2, Requests: 30, Seed: 4})
@@ -144,8 +144,8 @@ func TestFig6bStyleAPIUsageCounters(t *testing.T) {
 	// The Fig. 6(b) measurement: per-request executions of nextTick,
 	// emitter, and promise callbacks, with nextTick > emitter > promise.
 	l := eventloop.New(eventloop.Options{TickLimit: 5_000_000})
-	n := netio.New(l, netio.Options{})
-	db := mongosim.New(l, mongosim.Options{})
+	n := netio.New(l)
+	db := mongosim.New(l)
 	acmeair.LoadSampleData(db, acmeair.DataSpec{Customers: 20, FlightsPerSegment: 3})
 	app := acmeair.New(l, n, db, acmeair.Config{UsePromises: true})
 	metrics := trace.NewMetrics(l)

@@ -123,20 +123,3 @@ func TestDisabledKeepsTraceAttached(t *testing.T) {
 		t.Fatal("Disabled suppressed metrics")
 	}
 }
-
-func TestWithTraceConfigBoundsRing(t *testing.T) {
-	session := asyncg.New(asyncg.WithTraceConfig(trace.ExporterConfig{Capacity: 4}))
-	if _, err := session.Run(countdown); err != nil {
-		t.Fatal(err)
-	}
-	exp := session.Exporter()
-	if exp == nil {
-		t.Fatal("WithTraceConfig did not create an exporter")
-	}
-	if got := len(exp.Events()); got != 4 {
-		t.Fatalf("ring holds %d events, want 4", got)
-	}
-	if exp.Dropped() == 0 {
-		t.Fatal("tiny ring recorded no drops")
-	}
-}

@@ -2,6 +2,7 @@ package asyncg_test
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"asyncg"
 	"asyncg/internal/loc"
 	"asyncg/internal/mongosim"
-	"asyncg/internal/trace"
 )
 
 // workload exercises every substrate that participates in Session.Reset:
@@ -118,7 +118,7 @@ func TestSessionResetByteIdentical(t *testing.T) {
 // TestSessionResetWithMetricsAndTrace checks the probe consumers rewind
 // too: snapshots and retained trace events match across Reset.
 func TestSessionResetWithMetricsAndTrace(t *testing.T) {
-	session := asyncg.New(asyncg.WithMetrics(), asyncg.WithTraceConfig(trace.ExporterConfig{}))
+	session := asyncg.New(asyncg.WithMetrics(), asyncg.WithTrace(io.Discard, asyncg.TraceNDJSON))
 	first, err := session.Run(resetWorkload)
 	if err != nil {
 		t.Fatal(err)
