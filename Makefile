@@ -42,22 +42,26 @@ race-explore:
 	$(GO) test -race ./internal/explore/...
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 
-# Short native-fuzzing passes over five decoders and the graph
-# fingerprint. Schedule tokens that parse must re-encode to the same
-# picks. Shard wire specs must validate or fail cleanly, never panic,
-# and accepted ones must run one schedule per plan with replayable
-# tokens. Journaled shard files must be refused or hold one valid,
+# Short native-fuzzing passes over five decoders, the graph fingerprint
+# and the replay contract. Schedule tokens that parse must re-encode to
+# the same picks. Shard wire specs must validate or fail cleanly, never
+# panic, and accepted ones must run one schedule per plan with
+# replayable tokens. Journaled shard files must be refused or hold one valid,
 # in-order run per plan. Job bodies must come out as an accepted job or
 # a 4xx, never a panic or a 5xx. Async Graph logs must be rejected or
 # render as DOT and SVG, and re-serialize stably; their seeds are the
 # case corpus' graphs, some over 100 KB, so minimizing a new input is
 # capped at 2 s to leave the budget for fuzzing. Fingerprints must not
 # move when nodes are renumbered or edges reordered, and must move when
-# one node or edge attribute changes. Crashers land in the package's
-# testdata/fuzz/ and are committed as regression seeds.
+# one node or edge attribute changes. A schedule token on a case-study
+# target must give the same fingerprint, warnings, run error, tick count
+# and causal chains on a fresh runner, on a reset runner and through
+# Replay. Crashers land in the package's testdata/fuzz/ and are
+# committed as regression seeds.
 fuzz-smoke:
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 10s
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzReplayFreshVsReused$$' -fuzztime 10s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardFile$$' -fuzztime 10s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s

@@ -32,7 +32,7 @@ type goldenEntry struct {
 	Spec
 }
 
-func loadGoldenMatrix(t *testing.T) []goldenEntry {
+func loadGoldenMatrix(t testing.TB) []goldenEntry {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(goldenDir, "matrix.json"))
 	if err != nil {

@@ -1,7 +1,17 @@
 package explore
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
+
+	"asyncg"
+	"asyncg/internal/asyncgraph"
+	"asyncg/internal/provenance"
 )
 
 // TestRunnerReuseMatchesFresh is the Runner contract's observational
@@ -144,4 +154,126 @@ func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 	if ratio := steady / fresh; ratio > 0.45 {
 		t.Errorf("steady-state AllocsPerRun = %.0f vs fresh-session %.0f (ratio %.2f, want <= 0.45): runner reuse regressed toward fresh-session allocation", steady, fresh, ratio)
 	}
+}
+
+// replayOutcome is everything FuzzReplayFreshVsReused compares across
+// the three ways of running one schedule: the run record the engine
+// keeps, and each warning's key and async causal chain, in report
+// order.
+type replayOutcome struct {
+	Run    RunResult
+	Keys   []string
+	Chains [][]asyncgraph.ChainHop
+}
+
+// runPicks plays picks back on a runner the way Replay plays a token
+// back, summarizes the run as Replay does, and walks each warning's
+// chain with provenance.NewWalker as Replay does.
+func runPicks(r Runner, token string, picks []int) replayOutcome {
+	report, runErr := r.Run(asyncg.WithScheduler(newChooser(AllKinds(), playbackNext(picks))))
+	out := replayOutcome{Run: RunResult{Token: token}}
+	newIntern().summarize(&out.Run, report, runErr)
+	if report == nil || report.Graph == nil {
+		return out
+	}
+	pw := provenance.NewWalker(report.Graph)
+	for _, w := range report.Warnings {
+		out.Keys = append(out.Keys, warnKey(w))
+		out.Chains = append(out.Chains, pw.Chain(w.Node))
+	}
+	return out
+}
+
+// FuzzReplayFreshVsReused fuzzes the determinism contract behind every
+// witness token: a schedule token on a case-study target must give the
+// same fingerprint, sorted warning keys, run error, tick count and
+// per-warning async causal chain on a fresh runner, on a runner that
+// first ran a different schedule and was Reset, and through Replay.
+// The input is an index into the case:* registry targets and a token;
+// the seeds are the witness and counter-witness tokens of the golden
+// corpus's case-study entries.
+func FuzzReplayFreshVsReused(f *testing.F) {
+	var names []string
+	for _, info := range Targets() {
+		if strings.HasPrefix(info.Name, "case:") {
+			names = append(names, info.Name)
+		}
+	}
+	targets := make([]Target, len(names))
+	for i, name := range names {
+		tg, err := TargetByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		targets[i] = tg
+	}
+	type seed struct {
+		idx   int
+		token string
+	}
+	seen := make(map[seed]bool)
+	for _, e := range loadGoldenMatrix(f) {
+		idx := slices.Index(names, e.Target)
+		if idx < 0 {
+			continue // not a case study
+		}
+		b, err := os.ReadFile(filepath.Join(goldenDir, e.Name+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		var res Result
+		if err := json.Unmarshal(b, &res); err != nil {
+			f.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, ws := range res.Warnings {
+			for _, tok := range []string{ws.Witness, ws.CounterWitness} {
+				if s := (seed{idx, tok}); tok != "" && !seen[s] {
+					seen[s] = true
+					f.Add(uint(idx), tok)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, idx uint, token string) {
+		tg := targets[idx%uint(len(targets))]
+		sched, perr := ParseToken(token)
+		rr, report, rerr := Replay(tg, token)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("%s: ParseToken(%q) = %v but Replay = %v", tg.Name, token, perr, rerr)
+		}
+		if perr != nil {
+			return
+		}
+		replayed := replayOutcome{Run: rr}
+		if report != nil {
+			for _, w := range report.Warnings {
+				replayed.Keys = append(replayed.Keys, warnKey(w))
+				replayed.Chains = append(replayed.Chains, w.Chain)
+			}
+		}
+
+		fresh := runPicks(tg.NewRunner(), token, sched.Picks)
+
+		// A different schedule first: every pick one higher, and one
+		// more choice point than the token records.
+		other := append(slices.Clone(sched.Picks), 0)
+		for i := range other {
+			other[i]++
+		}
+		r := tg.NewRunner()
+		runPicks(r, "", other)
+		r.Reset()
+		reused := runPicks(r, token, sched.Picks)
+
+		for _, got := range []struct {
+			name string
+			out  replayOutcome
+		}{{"fresh runner", fresh}, {"reused runner", reused}} {
+			if !reflect.DeepEqual(got.out, replayed) {
+				want, _ := json.Marshal(replayed)
+				have, _ := json.Marshal(got.out)
+				t.Fatalf("%s, token %q: %s differs from Replay\nreplay: %s\n%s: %s", tg.Name, token, got.name, want, got.name, have)
+			}
+		}
+	})
 }
