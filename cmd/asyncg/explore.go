@@ -31,7 +31,7 @@ func runExplore(args []string) int {
 		clients    = fs.Int("clients", 4, "AcmeAir: concurrent clients")
 		runs       = fs.Int("runs", 32, "number of schedules to execute; with -strategy exhaustive this is a budget — the run stops early when the space is exhausted and warns either way when the enumerated space and the budget disagree")
 		workers    = fs.Int("workers", 0, "schedules executed concurrently (0 = GOMAXPROCS, 1 = sequential); results are identical for any worker count")
-		seed       = fs.Int64("seed", 1, "base seed for the random/delay strategies")
+		seed       = fs.Int64("seed", 1, "base seed of the random, delay and coverage walks (run i uses seed+i); with -acmeair also the workload seed (acmeair:...,seed=N)")
 		strategy   = fs.String("strategy", "random", "exploration strategy: random, delay, exhaustive, coverage")
 		kinds      = fs.String("kinds", "", "comma-separated choice kinds to perturb (default io-order,timer-tie,latency; also listener-order, data-order)")
 		delayBound = fs.Int("delay-bound", 2, "delay strategy: max non-default picks per run")

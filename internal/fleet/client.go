@@ -130,7 +130,6 @@ type jobRequest struct {
 	Target    string             `json:"target"`
 	Kinds     string             `json:"kinds,omitempty"`
 	NoMetrics bool               `json:"noMetrics,omitempty"`
-	TimeoutMs int64              `json:"timeoutMs,omitempty"`
 	Shard     *explore.ShardSpec `json:"shard"`
 }
 
