@@ -46,11 +46,11 @@ var Undefined = vm.Undefined
 // F creates a callback function value named name, capturing the caller's
 // source location for Async Graph labels.
 func F(name string, impl func(args []Value) Value) *vm.Function {
-	return vm.NewFuncAt(name, loc.Caller(0), impl)
+	return vm.NewFuncAt(name, loc.Caller(), impl)
 }
 
 // Throw raises a simulated JavaScript exception.
-func Throw(v Value) { vm.ThrowAt(v, loc.Caller(0)) }
+func Throw(v Value) { vm.ThrowAt(v, loc.Caller()) }
 
 // TraceFormat selects the serialization of a trace stream.
 type TraceFormat = trace.Format
@@ -363,7 +363,7 @@ func (s *Session) Apply(opts ...Option) {
 // it before Run returns; a flush failure is returned only if the run
 // itself succeeded.
 func (s *Session) Run(program func(ctx *Context)) (*Report, error) {
-	main := vm.NewFuncAt("main", loc.Caller(0), func([]Value) Value {
+	main := vm.NewFuncAt("main", loc.Caller(), func([]Value) Value {
 		program(s.ctx)
 		return Undefined
 	})

@@ -12,7 +12,7 @@ import (
 )
 
 // lochere captures the test's call site for direct internal-API use.
-func lochere() loc.Loc { return loc.Caller(0) }
+func lochere() loc.Loc { return loc.Caller() }
 
 func TestSessionRunBuildsGraph(t *testing.T) {
 	session := asyncg.New()

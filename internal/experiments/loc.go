@@ -4,4 +4,4 @@ import "asyncg/internal/loc"
 
 // locHere captures the caller's location for benchmark-internal
 // registrations (the label content is irrelevant for measurements).
-func locHere() loc.Loc { return loc.Caller(0) }
+func locHere() loc.Loc { return loc.Caller() }

@@ -10,10 +10,10 @@ func TestHereCapturesThisFile(t *testing.T) {
 }
 
 func TestCallerSkips(t *testing.T) {
-	inner := func() Loc { return Caller(0) } // captures inner's caller
+	inner := func() Loc { return Caller() } // captures inner's caller
 	l := inner()
 	if l.File != "loc_test.go" {
-		t.Fatalf("Caller(0) = %v", l)
+		t.Fatalf("Caller() = %v", l)
 	}
 }
 

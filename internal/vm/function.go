@@ -26,7 +26,7 @@ var funcSeq atomic.Uint64
 
 // NewFunc creates a function value, capturing the caller's source location.
 func NewFunc(name string, impl Impl) *Function {
-	return NewFuncAt(name, loc.Caller(0), impl)
+	return NewFuncAt(name, loc.Caller(), impl)
 }
 
 // NewFuncAt creates a function value with an explicit source location.

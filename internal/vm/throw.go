@@ -22,7 +22,7 @@ func (t *Thrown) Error() string {
 
 // Throw raises a simulated exception carrying v. It does not return.
 func Throw(v Value) {
-	panic(&Thrown{Value: v, Loc: loc.Caller(0)})
+	panic(&Thrown{Value: v, Loc: loc.Caller()})
 }
 
 // ThrowAt raises a simulated exception with an explicit origin location.
