@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmt-check test trace-demo explore-smoke explore-coverage race-explore fuzz-smoke fig6-smoke bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
+.PHONY: verify build vet fmt-check test cross trace-demo explore-smoke explore-coverage race-explore fuzz-smoke fig6-smoke bench-smoke serve-smoke race-server fleet-smoke race-fleet docs-check
 
 # Tier-1 verify: build, vet, formatting, tests. The tests include the
 # allocation gate, internal/explore's TestAllocBudget.
@@ -17,6 +17,17 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# Other architectures. internal/loc reads call sites off the
+# frame-pointer chain through an assembly stub on amd64 and arm64 and
+# unwinds the stack everywhere else: vet's asmdecl check reads the arm64
+# stub, and the 386 tests run the unwinding path (386 binaries run on an
+# amd64 host). The 386 build also keeps the module building where int
+# is 32 bits.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) test ./internal/loc
 
 # Bounded schedule exploration of two case-study bugs (CI smoke).
 # SO-17894000 must yield at least one schedule-dependent ("sometimes")
@@ -37,10 +48,12 @@ explore-coverage:
 # 8-worker explores must produce byte-identical Result JSON. The second
 # pass repeats the tests that drive the worker pool's shared state
 # (planning, hand-in, cancellation, panic re-raise, progress ordering)
-# ten times, since one pass sees one interleaving.
+# ten times, since one pass sees one interleaving. The third pass does
+# the same for the call-site cache that every worker reads and fills.
 race-explore:
 	$(GO) test -race ./internal/explore/...
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
+	$(GO) test -race -count=10 ./internal/loc
 
 # Short native-fuzzing passes over five decoders, the graph fingerprint
 # and the replay contract. Schedule tokens that parse must re-encode to

@@ -217,8 +217,8 @@ func (p RunPlan) validate() error {
 		return fmt.Errorf("explore: plan corpus size %d outside [0, %d]", p.Corpus, maxPlanCorpus)
 	}
 	for _, v := range p.Picks {
-		if v < 0 || v > maxPlanPick {
-			return fmt.Errorf("explore: plan pick %d outside [0, %d]", v, maxPlanPick)
+		if v < 0 || int64(v) > maxPlanPick {
+			return fmt.Errorf("explore: plan pick %d outside [0, %d]", v, int64(maxPlanPick))
 		}
 	}
 	return nil
