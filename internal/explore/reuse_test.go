@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -158,20 +159,45 @@ func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 
 // replayOutcome is everything FuzzReplayFreshVsReused compares across
 // the three ways of running one schedule: the run record the engine
-// keeps, and each warning's key and async causal chain, in report
-// order.
+// keeps, each warning's key and async causal chain, in report order,
+// and the whole Async Graph as Graph.WriteJSON writes it, every node's
+// label and location included.
 type replayOutcome struct {
 	Run    RunResult
 	Keys   []string
 	Chains [][]asyncgraph.ChainHop
+	Graph  string
+}
+
+// firstDiff names the first line where two graph logs differ.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d: %q, not %q", i+1, bl[i], al[i])
+		}
+	}
+	return fmt.Sprintf("line %d: %d lines, not %d", min(len(al), len(bl))+1, len(bl), len(al))
+}
+
+// graphJSON is the report's graph as Graph.WriteJSON writes it.
+func graphJSON(t testing.TB, report *asyncg.Report) string {
+	if report == nil || report.Graph == nil {
+		return ""
+	}
+	var b strings.Builder
+	if err := report.Graph.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // runPicks plays picks back on a runner the way Replay plays a token
 // back, summarizes the run as Replay does, and walks each warning's
 // chain with provenance.NewWalker as Replay does.
-func runPicks(r Runner, token string, picks []int) replayOutcome {
+func runPicks(t testing.TB, r Runner, token string, picks []int) replayOutcome {
 	report, runErr := r.Run(asyncg.WithScheduler(newChooser(AllKinds(), playbackNext(picks))))
-	out := replayOutcome{Run: RunResult{Token: token}}
+	out := replayOutcome{Run: RunResult{Token: token}, Graph: graphJSON(t, report)}
 	newIntern().summarize(&out.Run, report, runErr)
 	if report == nil || report.Graph == nil {
 		return out
@@ -186,9 +212,10 @@ func runPicks(r Runner, token string, picks []int) replayOutcome {
 
 // FuzzReplayFreshVsReused fuzzes the determinism contract behind every
 // witness token: a schedule token on a case-study target must give the
-// same fingerprint, sorted warning keys, run error, tick count and
-// per-warning async causal chain on a fresh runner, on a runner that
-// first ran a different schedule and was Reset, and through Replay.
+// same fingerprint, sorted warning keys, run error, tick count,
+// per-warning async causal chain and Async Graph (every node, edge,
+// label and location) on a fresh runner, on a runner that first ran a
+// different schedule and was Reset, and through Replay.
 // The input is an index into the case:* registry targets and a token;
 // the seeds are the witness and counter-witness tokens of the golden
 // corpus's case-study entries.
@@ -244,7 +271,7 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 		if perr != nil {
 			return
 		}
-		replayed := replayOutcome{Run: rr}
+		replayed := replayOutcome{Run: rr, Graph: graphJSON(t, report)}
 		if report != nil {
 			for _, w := range report.Warnings {
 				replayed.Keys = append(replayed.Keys, warnKey(w))
@@ -252,7 +279,7 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 			}
 		}
 
-		fresh := runPicks(tg.NewRunner(), token, sched.Picks)
+		fresh := runPicks(t, tg.NewRunner(), token, sched.Picks)
 
 		// A different schedule first: every pick one higher, and one
 		// more choice point than the token records.
@@ -261,15 +288,19 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 			other[i]++
 		}
 		r := tg.NewRunner()
-		runPicks(r, "", other)
+		runPicks(t, r, "", other)
 		r.Reset()
-		reused := runPicks(r, token, sched.Picks)
+		reused := runPicks(t, r, token, sched.Picks)
 
 		for _, got := range []struct {
 			name string
 			out  replayOutcome
 		}{{"fresh runner", fresh}, {"reused runner", reused}} {
+			if got.out.Graph != replayed.Graph {
+				t.Fatalf("%s, token %q: %s's graph differs from Replay's at %s", tg.Name, token, got.name, firstDiff(replayed.Graph, got.out.Graph))
+			}
 			if !reflect.DeepEqual(got.out, replayed) {
+				got.out.Graph, replayed.Graph = "", "" // equal, and long
 				want, _ := json.Marshal(replayed)
 				have, _ := json.Marshal(got.out)
 				t.Fatalf("%s, token %q: %s differs from Replay\nreplay: %s\n%s: %s", tg.Name, token, got.name, want, got.name, have)
