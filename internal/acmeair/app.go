@@ -13,20 +13,14 @@ import (
 	"asyncg/internal/vm"
 )
 
-// Config configures the AcmeAir server.
-type Config struct {
-	Port int
-	// UsePromises selects the promise-version data-access interface
-	// (the paper's modified AcmeAir); false selects classic callbacks.
-	UsePromises bool
-}
+// Port is the port the AcmeAir server listens on.
+const Port = 9080
 
 // App is the AcmeAir server instance.
 type App struct {
 	loop   *eventloop.Loop
 	net    *netio.Network
 	db     *mongosim.DB
-	cfg    Config
 	server *httpsim.Server
 
 	sessionSeq int
@@ -36,18 +30,12 @@ type App struct {
 
 // New assembles the application; call Listen from inside the loop's main
 // program to start serving.
-func New(l *eventloop.Loop, n *netio.Network, db *mongosim.DB, cfg Config) *App {
-	if cfg.Port == 0 {
-		cfg.Port = 9080
-	}
-	return &App{loop: l, net: n, db: db, cfg: cfg}
+func New(l *eventloop.Loop, n *netio.Network, db *mongosim.DB) *App {
+	return &App{loop: l, net: n, db: db}
 }
 
 // Served returns the number of requests that have received a response.
 func (a *App) Served() int64 { return a.served }
-
-// Port returns the listening port.
-func (a *App) Port() int { return a.cfg.Port }
 
 // Listen starts the HTTP server.
 func (a *App) Listen(at loc.Loc) error {
@@ -61,7 +49,7 @@ func (a *App) Listen(at loc.Loc) error {
 		return vm.Undefined
 	})
 	a.server = httpsim.CreateServer(a.net, at, handler)
-	return a.server.Listen(at, a.cfg.Port)
+	return a.server.Listen(at, Port)
 }
 
 // Close shuts the server down.
@@ -165,8 +153,8 @@ func (a *App) validateSession(req *httpsim.IncomingMessage, res *httpsim.ServerR
 		}))
 }
 
-// --- Endpoints (callback data access; promise variants live in
-// handlers_promise.go and are selected by Config.UsePromises) ---
+// --- Endpoints with callback data access; the flight query, booking
+// and customer lookup use the promise interface (handlers_promise.go) ---
 
 // login authenticates the customer and creates a session.
 func (a *App) login(res *httpsim.ServerResponse, form map[string]string) {
@@ -206,83 +194,6 @@ func (a *App) logout(res *httpsim.ServerResponse, query map[string]string) {
 		}))
 }
 
-// queryFlights finds the segment for the requested airport pair and
-// streams its flights through a cursor (the driver's cursor interface,
-// as the real data layer does for multi-document results).
-func (a *App) queryFlights(res *httpsim.ServerResponse, form map[string]string) {
-	if a.cfg.UsePromises {
-		a.queryFlightsP(res, form)
-		return
-	}
-	from, to := form["fromAirport"], form["toAirport"]
-	a.db.C(ColSegments).FindOne(loc.Here(),
-		`originPort == "`+from+`" && destPort == "`+to+`"`,
-		cb("segmentLookup", func(err, seg vm.Value) {
-			if a.dbFail(res, err) {
-				return
-			}
-			if vm.IsUndefined(seg) {
-				a.respond(res, 200, map[string]any{"flights": []any{}})
-				return
-			}
-			sid := seg.(mongosim.Document)["segmentId"].(string)
-			cursor := a.db.C(ColFlights).FindCursor(loc.Here(), `flightSegmentId == "`+sid+`"`)
-			var flights []mongosim.Document
-			cursor.On(loc.Here(), "data", vm.NewFunc("flightRow", func(args []vm.Value) vm.Value {
-				flights = append(flights, args[0].(mongosim.Document))
-				return vm.Undefined
-			}))
-			cursor.On(loc.Here(), "end", vm.NewFunc("flightsDone", func(args []vm.Value) vm.Value {
-				a.respond(res, 200, map[string]any{
-					"segment": seg,
-					"flights": flights,
-				})
-				return vm.Undefined
-			}))
-		}))
-}
-
-// bookFlights books a flight for the session's customer and credits
-// miles.
-func (a *App) bookFlights(req *httpsim.IncomingMessage, res *httpsim.ServerResponse, form map[string]string) {
-	a.validateSession(req, res, func(customer string) {
-		if a.cfg.UsePromises {
-			a.bookFlightsP(res, customer, form)
-			return
-		}
-		flightID := form["flightId"]
-		a.db.C(ColFlights).FindOne(loc.Here(), `flightId == "`+flightID+`"`,
-			cb("flightLookup", func(err, flight vm.Value) {
-				if a.dbFail(res, err) {
-					return
-				}
-				if vm.IsUndefined(flight) {
-					a.fail(res, 404, "no such flight "+flightID)
-					return
-				}
-				a.bookingSeq++
-				bid := fmt.Sprintf("b%d", a.bookingSeq)
-				a.db.C(ColBookings).Insert(loc.Here(), mongosim.Document{
-					"bookingId":  bid,
-					"customerId": customer,
-					"flightId":   flightID,
-				}, cb("bookingInsert", func(err, _ vm.Value) {
-					if a.dbFail(res, err) {
-						return
-					}
-					a.db.C(ColCustomers).Update(loc.Here(), `username == "`+customer+`"`,
-						mongosim.Document{"miles_ytd": 2000},
-						cb("milesUpdate", func(err, _ vm.Value) {
-							if a.dbFail(res, err) {
-								return
-							}
-							a.respond(res, 200, map[string]string{"bookingId": bid})
-						}))
-				}))
-			}))
-	})
-}
-
 // bookingsByUser lists the customer's bookings.
 func (a *App) bookingsByUser(req *httpsim.IncomingMessage, res *httpsim.ServerResponse, user string) {
 	a.validateSession(req, res, func(customer string) {
@@ -309,27 +220,6 @@ func (a *App) cancelBooking(req *httpsim.IncomingMessage, res *httpsim.ServerRes
 					return
 				}
 				a.respond(res, 200, map[string]any{"removed": n})
-			}))
-	})
-}
-
-// customerByID returns a customer profile.
-func (a *App) customerByID(req *httpsim.IncomingMessage, res *httpsim.ServerResponse, id string) {
-	a.validateSession(req, res, func(customer string) {
-		if a.cfg.UsePromises {
-			a.customerByIDP(res, id)
-			return
-		}
-		a.db.C(ColCustomers).FindOne(loc.Here(), `username == "`+id+`"`,
-			cb("customerLookup", func(err, doc vm.Value) {
-				if a.dbFail(res, err) {
-					return
-				}
-				if vm.IsUndefined(doc) {
-					a.fail(res, 404, "no such customer "+id)
-					return
-				}
-				a.respond(res, 200, doc.(mongosim.Document))
 			}))
 	})
 }

@@ -22,13 +22,13 @@ type env struct {
 }
 
 // serve boots the app and runs program against it.
-func serve(t *testing.T, usePromises bool, program func(e *env)) *env {
+func serve(t *testing.T, program func(e *env)) *env {
 	t.Helper()
 	l := eventloop.New(eventloop.Options{TickLimit: 500_000})
 	n := netio.New(l)
 	db := mongosim.New(l)
 	LoadSampleData(db, DataSpec{Customers: 10, FlightsPerSegment: 3})
-	app := New(l, n, db, Config{Port: 9080, UsePromises: usePromises})
+	app := New(l, n, db)
 	e := &env{l: l, n: n, db: db, app: app}
 	main := vm.NewFunc("main", func([]vm.Value) vm.Value {
 		if err := app.Listen(loc.Here()); err != nil {
@@ -54,7 +54,7 @@ func (e *env) call(method, path, body, session string, done func(status int, pay
 		headers["x-session"] = session
 	}
 	httpsim.Request(e.n, loc.Here(), httpsim.RequestOptions{
-		Port: 9080, Method: method, Path: path,
+		Port: Port, Method: method, Path: path,
 		Headers: headers, Body: []byte(body),
 	}, vm.NewFunc("testResp", func(args []vm.Value) vm.Value {
 		resp := args[0].(*httpsim.IncomingMessage)
@@ -81,7 +81,7 @@ func (e *env) login(t *testing.T, user string, next func(session string)) {
 
 func TestLoginSuccess(t *testing.T) {
 	var sid string
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.login(t, "uid0", func(session string) { sid = session })
 	})
 	if sid == "" {
@@ -91,7 +91,7 @@ func TestLoginSuccess(t *testing.T) {
 
 func TestLoginWrongPassword(t *testing.T) {
 	var status int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("POST", "/rest/api/login", "login=uid0&password=wrong", "",
 			func(s int, _ map[string]any) { status = s })
 	})
@@ -102,7 +102,7 @@ func TestLoginWrongPassword(t *testing.T) {
 
 func TestLoginUnknownUser(t *testing.T) {
 	var status int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("POST", "/rest/api/login", "login=nobody&password=password", "",
 			func(s int, _ map[string]any) { status = s })
 	})
@@ -112,28 +112,26 @@ func TestLoginUnknownUser(t *testing.T) {
 }
 
 func TestQueryFlightsReturnsSegmentFlights(t *testing.T) {
-	for _, mode := range []bool{false, true} {
-		var flights []any
-		serve(t, mode, func(e *env) {
-			e.call("POST", "/rest/api/flights/queryflights",
-				"fromAirport=SFO&toAirport=JFK", "",
-				func(status int, payload map[string]any) {
-					if status != 200 {
-						t.Errorf("status = %d (%v)", status, payload)
-						return
-					}
-					flights, _ = payload["flights"].([]any)
-				})
-		})
-		if len(flights) != 3 {
-			t.Fatalf("mode promises=%v: flights = %d, want 3", mode, len(flights))
-		}
+	var flights []any
+	serve(t, func(e *env) {
+		e.call("POST", "/rest/api/flights/queryflights",
+			"fromAirport=SFO&toAirport=JFK", "",
+			func(status int, payload map[string]any) {
+				if status != 200 {
+					t.Errorf("status = %d (%v)", status, payload)
+					return
+				}
+				flights, _ = payload["flights"].([]any)
+			})
+	})
+	if len(flights) != 3 {
+		t.Fatalf("flights = %d, want 3", len(flights))
 	}
 }
 
 func TestQueryFlightsUnknownRoute(t *testing.T) {
 	var flights any = "unset"
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("POST", "/rest/api/flights/queryflights",
 			"fromAirport=XXX&toAirport=YYY", "",
 			func(status int, payload map[string]any) {
@@ -147,43 +145,41 @@ func TestQueryFlightsUnknownRoute(t *testing.T) {
 }
 
 func TestBookingLifecycle(t *testing.T) {
-	for _, mode := range []bool{false, true} {
-		var bookingID string
-		var listed, removed float64
-		e := serve(t, mode, func(e *env) {
-			e.login(t, "uid1", func(session string) {
-				e.call("POST", "/rest/api/bookings/bookflights",
-					"flightId=AA1-0&userid=uid1", session,
-					func(status int, payload map[string]any) {
-						if status != 200 {
-							t.Errorf("book status = %d (%v)", status, payload)
-							return
-						}
-						bookingID = payload["bookingId"].(string)
-						e.call("GET", "/rest/api/bookings/byuser/uid1", "", session,
-							func(status int, payload map[string]any) {
-								listed = float64(len(payload["bookings"].([]any)))
-								e.call("POST", "/rest/api/bookings/cancelbooking",
-									"number="+bookingID+"&userid=uid1", session,
-									func(status int, payload map[string]any) {
-										removed, _ = payload["removed"].(float64)
-									})
-							})
-					})
-			})
+	var bookingID string
+	var listed, removed float64
+	e := serve(t, func(e *env) {
+		e.login(t, "uid1", func(session string) {
+			e.call("POST", "/rest/api/bookings/bookflights",
+				"flightId=AA1-0&userid=uid1", session,
+				func(status int, payload map[string]any) {
+					if status != 200 {
+						t.Errorf("book status = %d (%v)", status, payload)
+						return
+					}
+					bookingID = payload["bookingId"].(string)
+					e.call("GET", "/rest/api/bookings/byuser/uid1", "", session,
+						func(status int, payload map[string]any) {
+							listed = float64(len(payload["bookings"].([]any)))
+							e.call("POST", "/rest/api/bookings/cancelbooking",
+								"number="+bookingID+"&userid=uid1", session,
+								func(status int, payload map[string]any) {
+									removed, _ = payload["removed"].(float64)
+								})
+						})
+				})
 		})
-		if bookingID == "" || listed != 1 || removed != 1 {
-			t.Fatalf("promises=%v: booking=%q listed=%v removed=%v", mode, bookingID, listed, removed)
-		}
-		if e.db.C(ColBookings).Len() != 0 {
-			t.Fatalf("bookings left over: %d", e.db.C(ColBookings).Len())
-		}
+	})
+	if bookingID == "" || listed != 1 || removed != 1 {
+		t.Fatalf("booking=%q listed=%v removed=%v", bookingID, listed, removed)
+	}
+	if e.db.C(ColBookings).Len() != 0 {
+		t.Fatalf("bookings left over: %d", e.db.C(ColBookings).Len())
 	}
 }
 
 func TestSessionRequiredForBookings(t *testing.T) {
 	var status int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("GET", "/rest/api/bookings/byuser/uid0", "", "",
 			func(s int, _ map[string]any) { status = s })
 	})
@@ -194,7 +190,7 @@ func TestSessionRequiredForBookings(t *testing.T) {
 
 func TestInvalidSessionRejected(t *testing.T) {
 	var status int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("GET", "/rest/api/customer/byid/uid0", "", "s999",
 			func(s int, _ map[string]any) { status = s })
 	})
@@ -204,36 +200,34 @@ func TestInvalidSessionRejected(t *testing.T) {
 }
 
 func TestCustomerViewAndUpdate(t *testing.T) {
-	for _, mode := range []bool{false, true} {
-		var statusField string
-		var updated float64
-		var phoneAfter string
-		serve(t, mode, func(e *env) {
-			e.login(t, "uid2", func(session string) {
-				e.call("GET", "/rest/api/customer/byid/uid2", "", session,
-					func(status int, payload map[string]any) {
-						statusField, _ = payload["status"].(string)
-						e.call("POST", "/rest/api/customer/byid/uid2",
-							"phoneNumber=555-000", session,
-							func(status int, payload map[string]any) {
-								updated, _ = payload["updated"].(float64)
-								e.call("GET", "/rest/api/customer/byid/uid2", "", session,
-									func(status int, payload map[string]any) {
-										phoneAfter, _ = payload["phoneNumber"].(string)
-									})
-							})
-					})
-			})
+	var statusField string
+	var updated float64
+	var phoneAfter string
+	serve(t, func(e *env) {
+		e.login(t, "uid2", func(session string) {
+			e.call("GET", "/rest/api/customer/byid/uid2", "", session,
+				func(status int, payload map[string]any) {
+					statusField, _ = payload["status"].(string)
+					e.call("POST", "/rest/api/customer/byid/uid2",
+						"phoneNumber=555-000", session,
+						func(status int, payload map[string]any) {
+							updated, _ = payload["updated"].(float64)
+							e.call("GET", "/rest/api/customer/byid/uid2", "", session,
+								func(status int, payload map[string]any) {
+									phoneAfter, _ = payload["phoneNumber"].(string)
+								})
+						})
+				})
 		})
-		if statusField != "GOLD" || updated != 1 || phoneAfter != "555-000" {
-			t.Fatalf("promises=%v: status=%q updated=%v phone=%q", mode, statusField, updated, phoneAfter)
-		}
+	})
+	if statusField != "GOLD" || updated != 1 || phoneAfter != "555-000" {
+		t.Fatalf("status=%q updated=%v phone=%q", statusField, updated, phoneAfter)
 	}
 }
 
 func TestLogoutInvalidatesSession(t *testing.T) {
 	var secondStatus int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.login(t, "uid3", func(session string) {
 			e.call("GET", "/rest/api/login/logout?login=uid3", "", "",
 				func(status int, _ map[string]any) {
@@ -249,7 +243,7 @@ func TestLogoutInvalidatesSession(t *testing.T) {
 
 func TestUnknownEndpoint404(t *testing.T) {
 	var status int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("GET", "/rest/api/nothing", "", "",
 			func(s int, _ map[string]any) { status = s })
 	})
@@ -259,23 +253,21 @@ func TestUnknownEndpoint404(t *testing.T) {
 }
 
 func TestBookUnknownFlight(t *testing.T) {
-	for _, mode := range []bool{false, true} {
-		var status int
-		serve(t, mode, func(e *env) {
-			e.login(t, "uid4", func(session string) {
-				e.call("POST", "/rest/api/bookings/bookflights",
-					"flightId=ZZZ-9&userid=uid4", session,
-					func(s int, _ map[string]any) { status = s })
-			})
+	var status int
+	serve(t, func(e *env) {
+		e.login(t, "uid4", func(session string) {
+			e.call("POST", "/rest/api/bookings/bookflights",
+				"flightId=ZZZ-9&userid=uid4", session,
+				func(s int, _ map[string]any) { status = s })
 		})
-		if status != 404 {
-			t.Fatalf("promises=%v: status = %d, want 404", mode, status)
-		}
+	})
+	if status != 404 {
+		t.Fatalf("status = %d, want 404", status)
 	}
 }
 
 func TestServedCounterAdvances(t *testing.T) {
-	e := serve(t, false, func(e *env) {
+	e := serve(t, func(e *env) {
 		e.call("POST", "/rest/api/flights/queryflights",
 			"fromAirport=SFO&toAirport=JFK", "", func(int, map[string]any) {})
 		e.call("POST", "/rest/api/flights/queryflights",
@@ -339,7 +331,7 @@ func TestEscapeIsLossless(t *testing.T) {
 func TestConfigCountEndpoints(t *testing.T) {
 	var customers, flights float64
 	var unknown int
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("GET", "/rest/api/config/countCustomers", "", "",
 			func(status int, payload map[string]any) {
 				customers, _ = payload["count"].(float64)
@@ -366,7 +358,7 @@ func TestConfigCountEndpoints(t *testing.T) {
 func TestLoaderEndpointReloadsData(t *testing.T) {
 	var status int
 	var customersAfter float64
-	e := serve(t, false, func(e *env) {
+	e := serve(t, func(e *env) {
 		e.call("GET", "/rest/api/loader/load?numCustomers=25", "", "",
 			func(s int, payload map[string]any) {
 				status = s
@@ -389,7 +381,7 @@ func TestLoaderEndpointReloadsData(t *testing.T) {
 
 func TestLoaderEndpointIgnoresBadCount(t *testing.T) {
 	var customersAfter float64
-	serve(t, false, func(e *env) {
+	serve(t, func(e *env) {
 		e.call("GET", "/rest/api/loader/load?numCustomers=bogus", "", "",
 			func(s int, payload map[string]any) {
 				e.call("GET", "/rest/api/config/countCustomers", "", "",

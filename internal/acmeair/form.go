@@ -2,9 +2,9 @@
 // the server the paper's evaluation (§VII-B) measures — on top of the
 // simulated HTTP, network and MongoDB layers. The service exposes the
 // benchmark's REST endpoints (login, query flights, book, cancel, view
-// bookings, customer profile) and can run its data access either through
-// the classic callback interface or through the promise interface, the
-// two configurations the paper compares.
+// bookings, customer profile). As in the paper's modified AcmeAir, the
+// flight query, the booking and the customer lookup reach the database
+// through the promise interface; the other endpoints use callbacks.
 package acmeair
 
 import "strings"

@@ -91,9 +91,8 @@ func RunAcmeAir(load LoadSpec, attach func(*eventloop.Loop)) (workload.Stats, ti
 	net := netio.New(loop)
 	db := mongosim.New(loop)
 	acmeair.LoadSampleData(db, load.Data)
-	app := acmeair.New(loop, net, db, acmeair.Config{UsePromises: true})
+	app := acmeair.New(loop, net, db)
 	driver := workload.NewDriver(net, workload.Options{
-		Port:     app.Port(),
 		Clients:  load.Clients,
 		Requests: load.Requests,
 		Seed:     load.Seed,

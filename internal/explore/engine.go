@@ -160,9 +160,8 @@ func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 	} else {
 		r.session.Apply(extra...)
 	}
-	app := acmeair.New(r.session.Loop(), r.net, r.db, acmeair.Config{UsePromises: true})
+	app := acmeair.New(r.session.Loop(), r.net, r.db)
 	driver := workload.NewDriver(r.net, workload.Options{
-		Port:     app.Port(),
 		Clients:  r.clients,
 		Requests: r.requests,
 		Seed:     r.seed,

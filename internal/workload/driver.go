@@ -62,62 +62,46 @@ func (o Op) String() string {
 	}
 }
 
-// WeightedOp is one entry of a request mix.
-type WeightedOp struct {
-	Op     Op
-	Weight int
+// defaultMix approximates the AcmeAir JMeter workload as weighted
+// operations: flight queries dominate, bookings and profile operations
+// follow.
+var defaultMix = [...]struct {
+	op     Op
+	weight int
+}{
+	{OpQueryFlights, 45},
+	{OpViewBookings, 12},
+	{OpViewCustomer, 10},
+	{OpUpdateCustomer, 5},
+	{OpBookFlight, 10},
+	{OpCancelBooking, 5},
+	{OpLogin, 8},
+	{OpLogout, 5},
 }
 
-// Mix is a weighted request distribution.
-type Mix []WeightedOp
-
-// DefaultMix approximates the AcmeAir JMeter workload: flight queries
-// dominate, bookings and profile operations follow.
-func DefaultMix() Mix {
-	return Mix{
-		{OpQueryFlights, 45},
-		{OpViewBookings, 12},
-		{OpViewCustomer, 10},
-		{OpUpdateCustomer, 5},
-		{OpBookFlight, 10},
-		{OpCancelBooking, 5},
-		{OpLogin, 8},
-		{OpLogout, 5},
+// pickOp draws one operation from defaultMix.
+func pickOp(r *rand.Rand) Op {
+	total := 0
+	for _, w := range defaultMix {
+		total += w.weight
 	}
-}
-
-func (m Mix) total() int {
-	sum := 0
-	for _, w := range m {
-		sum += w.Weight
-	}
-	return sum
-}
-
-func (m Mix) pick(r *rand.Rand) Op {
-	n := r.Intn(m.total())
-	for _, w := range m {
-		if n < w.Weight {
-			return w.Op
+	n := r.Intn(total)
+	for _, w := range defaultMix {
+		if n < w.weight {
+			return w.op
 		}
-		n -= w.Weight
+		n -= w.weight
 	}
-	return m[len(m)-1].Op
+	return defaultMix[len(defaultMix)-1].op
 }
 
-// Options configures a driver run.
+// Options configures a driver run. The driver draws the default mix
+// from a private source seeded with Seed; it never touches the global
+// math/rand source.
 type Options struct {
-	Port     int
 	Clients  int
 	Requests int // total requests across all clients
 	Seed     int64
-	Mix      Mix
-	// Rand, when non-nil, supplies the driver's randomness instead of a
-	// private source seeded with Seed. Harnesses that derive the whole
-	// run from one master seed (the explore engine, multi-phase
-	// benchmarks) inject their generator here; the driver never touches
-	// the global math/rand source either way.
-	Rand *rand.Rand
 }
 
 // Stats accumulates driver-side results.
@@ -180,17 +164,10 @@ func NewDriver(n *netio.Network, opts Options) *Driver {
 	if opts.Requests <= 0 {
 		opts.Requests = 100
 	}
-	if opts.Mix == nil {
-		opts.Mix = DefaultMix()
-	}
-	rng := opts.Rand
-	if rng == nil {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
 	return &Driver{
 		net:     n,
 		opts:    opts,
-		rng:     rng,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
 		stats:   Stats{ByOp: make(map[string]int)},
 		airport: acmeair.Airports(),
 	}
@@ -234,7 +211,7 @@ func (c *client) next() {
 		}
 		return
 	}
-	op := d.opts.Mix.pick(d.rng)
+	op := pickOp(d.rng)
 	// Session-dependent ops need a login first; cancels need a booking.
 	if c.session == "" && op != OpLogin && op != OpQueryFlights && op != OpLogout {
 		op = OpLogin
@@ -306,7 +283,7 @@ func (c *client) run(op Op) {
 			Body: []byte("phoneNumber=919-555-0000"),
 		}
 	}
-	ropts.Port = d.opts.Port
+	ropts.Port = acmeair.Port
 	ropts.Headers = headers
 
 	cl := c
