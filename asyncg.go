@@ -83,8 +83,8 @@ type config struct {
 // options win.
 type Option func(*config)
 
-// WithLoop configures the event-loop simulator (tick limit, iteration
-// cost).
+// WithLoop configures the event-loop simulator, for example its tick
+// limit.
 func WithLoop(opts eventloop.Options) Option {
 	return func(c *config) { c.loop = opts }
 }
@@ -129,8 +129,8 @@ func WithDebugStacks() Option {
 	return func(c *config) { c.debugStacks = true }
 }
 
-// WithDetect configures the bug detectors. Without this option all
-// detectors run with the paper's thresholds (detect.DefaultConfig).
+// WithDetect selects the bug-detector families. Without this option
+// all of them run (detect.DefaultConfig).
 func WithDetect(cfg detect.Config) Option {
 	return func(c *config) { c.det = cfg; c.detSet = true }
 }

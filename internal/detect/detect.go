@@ -84,7 +84,19 @@ func Categories(family Family) []Category {
 	return out
 }
 
-// Config enables detector families and sets thresholds.
+// Thresholds of the scheduling detectors.
+const (
+	// RecursiveMicroThreshold is the number of consecutive
+	// self-reschedules of the same callback in micro-task ticks before
+	// warning. The paper warns from the first recursive tick.
+	RecursiveMicroThreshold = 1
+	// MicroStarvationThreshold is the number of consecutive micro-task
+	// ticks (without a macro phase in between) before a starvation
+	// warning, catching recursion cycles that alternate callbacks.
+	MicroStarvationThreshold = 1000
+)
+
+// Config enables detector families.
 type Config struct {
 	Scheduling bool
 	Emitters   bool
@@ -92,15 +104,6 @@ type Config struct {
 	// Races enables the experimental race detector (the paper's §IX
 	// ongoing work) over state.Cell accesses.
 	Races bool
-	// RecursiveMicroThreshold is the number of consecutive
-	// self-reschedules of the same callback in micro-task ticks before
-	// warning. The paper warns from the first recursive tick; 1 keeps
-	// that behaviour.
-	RecursiveMicroThreshold int
-	// MicroStarvationThreshold is the number of consecutive micro-task
-	// ticks (without a macro phase in between) before a starvation
-	// warning, catching recursion cycles that alternate callbacks.
-	MicroStarvationThreshold int
 	// OnTheFlyChains re-evaluates promise-chain structure (chain walk
 	// to the root plus a leaf rescan) on every promise registration and
 	// settlement, as AsyncG's on-the-fly promise analyses do, instead
@@ -113,13 +116,11 @@ type Config struct {
 // DefaultConfig enables everything with the paper's behaviour.
 func DefaultConfig() Config {
 	return Config{
-		Scheduling:               true,
-		Emitters:                 true,
-		Promises:                 true,
-		Races:                    true,
-		RecursiveMicroThreshold:  1,
-		MicroStarvationThreshold: 1000,
-		OnTheFlyChains:           true,
+		Scheduling:     true,
+		Emitters:       true,
+		Promises:       true,
+		Races:          true,
+		OnTheFlyChains: true,
 	}
 }
 
@@ -216,7 +217,7 @@ func NewAnalyzer(b *asyncgraph.Builder, cfg Config) *Analyzer {
 		cfg:        cfg,
 		b:          b,
 		g:          b.Graph(),
-		sched:      newSchedState(cfg),
+		sched:      newSchedState(),
 		emitters:   make(map[uint64]*emState),
 		promises:   make(map[uint64]*pState),
 		races:      newRaceState(),

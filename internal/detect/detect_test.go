@@ -103,11 +103,10 @@ func TestRecursiveSetImmediateIsFine(t *testing.T) {
 }
 
 func TestMicroStarvationWarning(t *testing.T) {
-	l := eventloop.New(eventloop.Options{TickLimit: 100})
+	// The tick limit lets the cycle run past the threshold.
+	l := eventloop.New(eventloop.Options{TickLimit: 2 * MicroStarvationThreshold})
 	b := asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.MicroStarvationThreshold = 20
-	a := NewAnalyzer(b, cfg)
+	a := NewAnalyzer(b, DefaultConfig())
 	l.Probes().Attach(b)
 	l.Probes().Attach(a)
 	// A two-callback cycle: per-callback self-reschedule detection does

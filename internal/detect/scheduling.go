@@ -45,8 +45,6 @@ type timeoutEntry struct {
 
 // schedState is the scheduling-bug detector state.
 type schedState struct {
-	cfg Config
-
 	// Recursive micro-tasks: the callback whose micro-tick is running,
 	// and per-callback counts of consecutive self-reschedules.
 	curMicroFn  *vm.Function
@@ -64,9 +62,8 @@ type schedState struct {
 	settled map[uint64]bool
 }
 
-func newSchedState(cfg Config) *schedState {
+func newSchedState() *schedState {
 	return &schedState{
-		cfg:         cfg,
 		selfResched: make(map[*vm.Function]int),
 		regToGroup:  make(map[uint64]*timeoutGroup),
 		settled:     make(map[uint64]bool),
@@ -97,7 +94,7 @@ func (s *schedState) tickStart(a *Analyzer, fn *vm.Function, info *vm.CallInfo) 
 	if eventloop.Phase(info.Phase).IsMicro() {
 		s.curMicroFn = fn
 		s.microRun++
-		if !s.starved && s.microRun >= s.cfg.MicroStarvationThreshold {
+		if !s.starved && s.microRun >= MicroStarvationThreshold {
 			s.starved = true
 			a.g.AddWarning(asyncgraph.NoNode, CatMicroStarvation,
 				fmt.Sprintf("%d consecutive micro-task ticks without reaching any other event-loop phase", s.microRun),
@@ -219,7 +216,7 @@ func (s *schedState) noteMicroReschedule(a *Analyzer, ev *vm.APIEvent, api strin
 			continue
 		}
 		s.selfResched[reg.Callback]++
-		if s.selfResched[reg.Callback] >= s.cfg.RecursiveMicroThreshold {
+		if s.selfResched[reg.Callback] >= RecursiveMicroThreshold {
 			a.g.AddWarning(a.lastCRNode(ev), CatRecursiveMicrotask,
 				fmt.Sprintf("callback %q recursively reschedules itself with %s: micro-tasks have priority over all other phases and will starve the event loop",
 					reg.Callback.Name, api),

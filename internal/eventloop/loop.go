@@ -23,12 +23,6 @@ type Options struct {
 	// the bound is hit; the work done so far (and its Async Graph)
 	// remains observable.
 	TickLimit int
-	// IterationCost is virtual time charged per event-loop iteration,
-	// modelling the real duration of a loop turn. Without it a
-	// recursive setImmediate would freeze the virtual clock and starve
-	// timers, which real Node does not do. 0 means
-	// DefaultIterationCost; negative disables the charge.
-	IterationCost time.Duration
 	// Scheduler resolves scheduling choice points (I/O completion
 	// order, same-deadline timer ties, latency jitter). nil keeps the
 	// historical deterministic order. See Scheduler and the explore
@@ -48,9 +42,11 @@ type Options struct {
 // DefaultTickLimit is the tick bound applied when Options.TickLimit is 0.
 const DefaultTickLimit = 1_000_000
 
-// DefaultIterationCost is the virtual time charged per loop iteration
-// when Options.IterationCost is 0.
-const DefaultIterationCost = 100 * time.Microsecond
+// IterationCost is the virtual time charged per event-loop iteration,
+// modelling the real duration of a loop turn. Without it a recursive
+// setImmediate would freeze the virtual clock and starve timers, which
+// real Node does not do.
+const IterationCost = 100 * time.Microsecond
 
 // UncaughtError records a simulated exception that escaped a top-level
 // callback.
@@ -138,11 +134,6 @@ type immediate struct {
 func New(opts Options) *Loop {
 	if opts.TickLimit == 0 {
 		opts.TickLimit = DefaultTickLimit
-	}
-	if opts.IterationCost == 0 {
-		opts.IterationCost = DefaultIterationCost
-	} else if opts.IterationCost < 0 {
-		opts.IterationCost = 0
 	}
 	return &Loop{
 		opts:           opts,
@@ -570,7 +561,7 @@ func (l *Loop) Run(main *vm.Function, args ...vm.Value) error {
 			break
 		}
 		l.iteration++
-		l.now += l.opts.IterationCost
+		l.now += IterationCost
 		l.advanceClock()
 		if l.probes.WantLoop() {
 			l.probes.LoopIteration(&vm.LoopInfo{

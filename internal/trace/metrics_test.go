@@ -15,11 +15,10 @@ import (
 )
 
 // runMetrics runs program as the main tick on a loop with a fresh
-// registry attached. The per-iteration charge is disabled so lag
-// arithmetic in the tests is exact.
+// registry attached.
 func runMetrics(t *testing.T, program func(loop *eventloop.Loop)) *trace.Metrics {
 	t.Helper()
-	loop := eventloop.New(eventloop.Options{IterationCost: -1})
+	loop := eventloop.New(eventloop.Options{})
 	m := trace.NewMetrics(loop)
 	loop.Probes().Attach(m)
 	main := vm.NewFuncAt("main", gl(1), func([]vm.Value) vm.Value {
@@ -104,13 +103,16 @@ func TestMetricsSnapshot(t *testing.T) {
 	if s.QueueHighWater.NextTick != 0 {
 		t.Errorf("nextTick high-water = %d, want 0", s.QueueHighWater.NextTick)
 	}
-	// t1 fires on time; t2 (due at 2ms) is delayed behind t1's 4ms of
-	// work until 5ms: 3ms of loop lag.
+	// The ticks end at 300µs; the first iteration (at 300µs plus one
+	// iteration cost, before t1 is due) runs the immediate, and the
+	// second advances the clock to t1's 1ms deadline, so t1 fires on
+	// time. t2 (due at 2ms) waits behind t1's 4ms of work until 5ms, and
+	// then for the next iteration's charge.
 	if s.TimerLag.Count != 2 {
 		t.Errorf("TimerLag.Count = %d, want 2", s.TimerLag.Count)
 	}
-	if got := s.TimerLag.Max; got != 3*time.Millisecond {
-		t.Errorf("TimerLag.Max = %s, want 3ms", got)
+	if got, want := s.TimerLag.Max, 3*time.Millisecond+eventloop.IterationCost; got != want {
+		t.Errorf("TimerLag.Max = %s, want %s", got, want)
 	}
 	if s.Iterations == 0 {
 		t.Error("Iterations = 0, loop extension never fired")
