@@ -38,7 +38,7 @@ func runFleet(args []string) int {
 		dir            = fs.String("dir", "", "journal directory (default: a fresh temp dir, removed on success, kept on failure)")
 		resume         = fs.String("resume", "", "resume the journal in this directory; planning flags come from its plan.json")
 		ndjsonOut      = fs.String("ndjson", "", "stream merged NDJSON exploration records to this file ('-' for stdout)")
-		requestTimeout = fs.Duration("request-timeout", 10*time.Second, "per control request (health/submit/cancel) timeout")
+		requestTimeout = fs.Duration("request-timeout", 10*time.Second, "per control request (submit/cancel) timeout")
 		maxAttempts    = fs.Int("max-attempts", 5, "per-shard dispatch attempts across workers before the run fails")
 	)
 	fs.Usage = func() {

@@ -19,8 +19,7 @@ import (
 )
 
 // client talks to one asyncg serve worker over its jobs API. Control
-// requests (health probe, submit, cancel) run under a per-request
-// timeout; the NDJSON stream read runs under the caller's context only,
+// requests (submit, cancel) run under a per-request timeout; the NDJSON stream read runs under the caller's context only,
 // since a healthy shard legitimately takes as long as its runs do.
 type client struct {
 	base    string // worker base URL, no trailing slash
@@ -89,39 +88,6 @@ type permanentError struct {
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
-
-// health is the /healthz body the coordinator probes before dispatch.
-type health struct {
-	Status   string `json:"status"`
-	Queued   int    `json:"queued"`
-	Running  int    `json:"running"`
-	Finished int64  `json:"finished"`
-	Workers  int    `json:"workers"`
-}
-
-// checkHealth probes the worker; an error (or draining status) means
-// the worker must not receive the next shard.
-func (c *client) checkHealth(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp.Body)
-	var h health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
-		return fmt.Errorf("fleet: %s: bad healthz body: %v", c.base, err)
-	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		return fmt.Errorf("fleet: %s: unhealthy (%d %s)", c.base, resp.StatusCode, h.Status)
-	}
-	return nil
-}
 
 // jobRequest is the wire shape of a shard submission — a strict subset
 // of the server's jobSpec (the server rejects unknown fields, so this
@@ -282,13 +248,12 @@ func (c *client) stream(ctx context.Context, jobID string, spec explore.ShardSpe
 	return out, nil
 }
 
-// runShard is the per-attempt unit: health probe, submit, stream. On a
-// stream failure the job is cancelled best-effort before the error is
-// returned for reassignment.
+// runShard is the per-attempt unit: submit, then stream. A worker that
+// cannot take the shard fails the submit (a draining server answers
+// 503, a dead one refuses the connection), and the attempt is retried
+// like any other. On a stream failure the job is cancelled best-effort
+// before the error is returned for reassignment.
 func (c *client) runShard(ctx context.Context, jr jobRequest) (*shardOutput, error) {
-	if err := c.checkHealth(ctx); err != nil {
-		return nil, err
-	}
 	jobID, err := c.submit(ctx, jr)
 	if err != nil {
 		return nil, err

@@ -85,8 +85,8 @@ type Config struct {
 	// fresh: Plan must match plan.json, and completed shards load from
 	// disk instead of re-running.
 	Resume bool
-	// RequestTimeout bounds each control request (health, submit,
-	// cancel); streams run under the exploration context only. 0 = 10s.
+	// RequestTimeout bounds each control request (submit, cancel);
+	// streams run under the exploration context only. 0 = 10s.
 	RequestTimeout time.Duration
 	// MaxAttempts is the per-shard dispatch attempt budget across
 	// workers. 0 = 5.

@@ -257,8 +257,6 @@ func TestFleetRejectsBadRunLines(t *testing.T) {
 	var hits atomic.Int32
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
-		case r.URL.Path == "/healthz":
-			fmt.Fprint(w, `{"status":"ok"}`)
 		case r.Method == http.MethodPost:
 			var req jobRequest
 			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -345,6 +343,41 @@ func TestFleetDeadWorkerReassignment(t *testing.T) {
 	}
 	if stats.Retries == 0 {
 		t.Error("no retries recorded; the dead worker was never tried")
+	}
+	checkIdentical(t, res, singleProcess(t, p))
+}
+
+// TestFleetDrainingWorkerReassignment puts a worker that answers every
+// submission with 503, as a draining server does, in the pool: its
+// shards must move to the live worker and the merged Result stay
+// correct.
+func TestFleetDrainingWorkerReassignment(t *testing.T) {
+	var refused atomic.Int32
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" {
+			refused.Add(1)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"error":"server is draining"}`)
+	}))
+	defer draining.Close()
+
+	p := Plan{Spec: explore.Spec{Target: caseTarget, Strategy: explore.StrategyRandom, Seed: 3, Runs: 8}, ShardRuns: 2}
+	live := startWorkers(t, 1)
+	res, stats, err := Run(context.Background(), Config{
+		Plan:        p,
+		Workers:     []string{draining.URL, live[0]},
+		Dir:         t.TempDir(),
+		BackoffBase: time.Millisecond,
+		BackoffCap:  20 * time.Millisecond,
+		MaxAttempts: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if refused.Load() == 0 || stats.Retries == 0 {
+		t.Errorf("draining worker refused %d submissions and %d retries were recorded; it was never tried", refused.Load(), stats.Retries)
 	}
 	checkIdentical(t, res, singleProcess(t, p))
 }

@@ -553,9 +553,8 @@ func (s *Server) handleTargets(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz reports liveness plus queue pressure and lifetime job
-// counts — enough for a fleet coordinator (or load balancer) to probe
-// liveness and dispatch capacity-aware. A draining server answers 503 so
-// routers stop sending it work.
+// counts, for load balancers and smoke scripts. A draining server
+// answers 503 so routers stop sending it work.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining, running := s.draining, s.running
