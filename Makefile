@@ -21,13 +21,14 @@ test:
 # Other architectures. internal/loc reads call sites off the
 # frame-pointer chain through an assembly stub on amd64 and arm64 and
 # unwinds the stack everywhere else: vet's asmdecl check reads the arm64
-# stub, and the 386 tests run the unwinding path (386 binaries run on an
-# amd64 host). The 386 build also keeps the module building where int
-# is 32 bits.
+# stub. The whole suite runs on 386 (386 binaries run on an amd64 host):
+# it takes the unwinding path, keeps the module and its tests building
+# where int is 32 bits, and checks the golden corpus on a second
+# architecture.
 cross:
 	GOARCH=arm64 $(GO) vet ./...
-	GOARCH=386 $(GO) build ./...
-	GOARCH=386 $(GO) test ./internal/loc
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./...
 
 # Bounded schedule exploration of two case-study bugs (CI smoke).
 # SO-17894000 must yield at least one schedule-dependent ("sometimes")
@@ -101,13 +102,13 @@ fleet-smoke:
 
 # Fleet coordinator behavior under the race detector: merge equivalence
 # for every strategy at varying shard widths, journal round-trip,
-# resume-after-cancel, and dead-worker reassignment. The second pass
-# repeats the tests whose outcome depends on how dispatches interleave
-# (which worker a retry lands on, when a cancel hits) twenty times,
-# since one pass sees one interleaving.
+# resume-after-cancel, and dead- and draining-worker reassignment. The
+# second pass repeats the tests whose outcome depends on how dispatches
+# interleave (which worker a retry lands on, when a cancel hits) twenty
+# times, since one pass sees one interleaving.
 race-fleet:
 	$(GO) test -race -count=1 ./internal/fleet/...
-	$(GO) test -race -count=20 -run 'TestFleetDeadWorkerReassignment|TestFleetMatchesSingleProcess|TestFleetResume' ./internal/fleet/
+	$(GO) test -race -count=20 -run 'TestFleetDeadWorkerReassignment|TestFleetDrainingWorkerReassignment|TestFleetMatchesSingleProcess|TestFleetResume' ./internal/fleet/
 
 # Analysis-service behavior under the race detector: the 200-submission
 # overflow load test (queue capacity 8 → 429 + Retry-After), per-job

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -20,7 +21,7 @@ func spinTarget() Target {
 	return Target{
 		Name: "spin (endless immediates)",
 		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
-			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 1 << 40})}, extra...)
+			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: math.MaxInt})}, extra...)
 			s := asyncg.New(opts...)
 			return s.Run(func(ctx *asyncg.Context) {
 				var spin *asyncg.Function

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -145,6 +146,19 @@ func TestTokenRoundTrip(t *testing.T) {
 	if _, err := ParseToken("s1.!!!"); err == nil {
 		t.Fatal("ParseToken accepted invalid base64")
 	}
+	// A pick is at most 2^31 and must fit in int, so the pick 2^31
+	// parses only where int has 64 bits, and 2^31+1 never.
+	s, err := ParseToken("s1.gICAgAg")
+	if math.MaxInt > 1<<31 {
+		if err != nil || len(s.Picks) != 1 || int64(s.Picks[0]) != 1<<31 {
+			t.Errorf("ParseToken(pick 2^31) = %v, %v; want [2147483648]", s.Picks, err)
+		}
+	} else if err == nil {
+		t.Errorf("ParseToken(pick 2^31) = %v with a 32-bit int, want an error", s.Picks)
+	}
+	if s, err := ParseToken("s1.gYCAgAg"); err == nil {
+		t.Errorf("ParseToken(pick 2^31+1) = %v, want an error", s.Picks)
+	}
 }
 
 // FuzzParseToken: a token that parses re-encodes to a token that parses
@@ -153,7 +167,7 @@ func FuzzParseToken(f *testing.F) {
 	for _, tok := range []string{"s1.", "s1.AQ", "s1.AQM", "s1.AA", "s1.gAE", "s1.gICAgAg", "s1.!!!", "bogus", ""} {
 		f.Add(tok)
 	}
-	f.Add(Schedule{Picks: []int{3, 0, 1 << 31, 2, 0, 0}}.Token())
+	f.Add("s1.AwCAgICACAI") // picks 3, 0, 2^31, 2: accepted only where int has 64 bits
 	f.Fuzz(func(t *testing.T, tok string) {
 		s, err := ParseToken(tok)
 		if err != nil {

@@ -56,7 +56,9 @@ func ParseToken(tok string) (Schedule, error) {
 		if n <= 0 {
 			return Schedule{}, fmt.Errorf("explore: schedule token %q: truncated pick sequence", tok)
 		}
-		if v > 1<<31 {
+		// A pick is at most 2^31 and must fit in int, which on 32-bit
+		// targets leaves out 2^31 itself.
+		if v > 1<<31 || int(v) < 0 {
 			return Schedule{}, fmt.Errorf("explore: schedule token %q: pick %d out of range", tok, v)
 		}
 		picks = append(picks, int(v))

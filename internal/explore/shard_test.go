@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -202,7 +203,7 @@ func validShardSpecs() []ShardSpec {
 func invalidShardSpecs() []ShardSpec {
 	const v = ShardVersion
 	one := func(p RunPlan) []RunPlan { return []RunPlan{p} }
-	return []ShardSpec{
+	specs := []ShardSpec{
 		{Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
 		{Version: 1, Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
 		{Version: v + 1, Plans: one(RunPlan{Walk: StrategyRandom, Seed: 1})},
@@ -218,8 +219,12 @@ func invalidShardSpecs() []ShardSpec {
 		{Version: v, Plans: one(RunPlan{Walk: StrategyCoverage, DelayBound: 2})},
 		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Seed: 3})},
 		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{-1}})},
-		{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{maxPlanPick + 1}})},
 	}
+	// A pick past maxPlanPick does not fit in a 32-bit int.
+	if pick := int64(maxPlanPick) + 1; pick <= math.MaxInt {
+		specs = append(specs, ShardSpec{Version: v, Plans: one(RunPlan{Walk: StrategyExhaustive, Picks: []int{int(pick)}})})
+	}
+	return specs
 }
 
 // TestShardSpecValidate: Validate and ShardStrategy agree on every

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -28,7 +29,7 @@ func spinTarget(string) (explore.Target, error) {
 	return explore.Target{
 		Name: "spin",
 		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
-			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 1 << 40})}, extra...)
+			opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: math.MaxInt})}, extra...)
 			s := asyncg.New(opts...)
 			return s.Run(func(ctx *asyncg.Context) {
 				var spin *asyncg.Function
