@@ -64,22 +64,24 @@ race-explore:
 # in-order run per plan. Job bodies must come out as an accepted job or
 # a 4xx, never a panic or a 5xx. Async Graph logs must be rejected or
 # render as DOT and SVG, and re-serialize stably; their seeds are the
-# case corpus' graphs, some over 100 KB, so minimizing a new input is
-# capped at 2 s to leave the budget for fuzzing. Fingerprints must not
-# move when nodes are renumbered or edges reordered, and must move when
-# one node or edge attribute changes. A schedule token on a case-study
-# target must give the same fingerprint, warnings, run error, tick count
-# and causal chains on a fresh runner, on a reset runner and through
-# Replay. Crashers land in the package's testdata/fuzz/ and are
-# committed as regression seeds.
+# case corpus' graphs, some over 100 KB. Fingerprints must not move when
+# nodes are renumbered or edges reordered, and must move when one node
+# or edge attribute changes. A schedule token on a case-study target
+# must give the same fingerprint, warnings, run error, tick count and
+# causal chains on a fresh runner, on a reset runner and through Replay.
+# The fuzzer minimizes every new interesting input for up to a minute,
+# running no new inputs meanwhile, so on a 10 s budget one large input
+# can stall a target for most of its run; every line caps minimizing at
+# 2 s to leave the budget for fuzzing. Crashers land in the package's
+# testdata/fuzz/ and are committed as regression seeds.
 fuzz-smoke:
-	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 10s
-	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s
-	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzReplayFreshVsReused$$' -fuzztime 10s
-	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardFile$$' -fuzztime 10s
-	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzReplayFreshVsReused$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardFile$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s
-	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s
+	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # End-to-end smoke of `asyncg fig6` (both figures on a small load) and
 # of a case's graph log piped through `asyncg viz` as DOT and as SVG.

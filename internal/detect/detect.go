@@ -164,7 +164,9 @@ type Analyzer struct {
 	// shape. It deliberately survives Reset: reused analyzers re-derive
 	// the same warnings run after run, and re-rendering the identical
 	// message each run was a measurable share of the steady-state
-	// allocation profile of schedule exploration.
+	// allocation profile of schedule exploration. A starving program
+	// re-derives its recursive micro-task warning on every reschedule,
+	// hundreds of times per run.
 	msgCache map[msgKey]string
 
 	finished bool
@@ -206,6 +208,23 @@ func (a *Analyzer) internRemovalMsg(event, name string) string {
 	}
 	m := "removeListener(" + strconv.Quote(event) + ", " + name +
 		") did not match any registered listener: the function passed is not the one that was registered"
+	a.msgCache[k] = m
+	return m
+}
+
+// internRecursiveMsg renders the recursive micro-task message,
+// byte-identical to fmt.Sprintf("callback %q recursively reschedules
+// itself with %s: ...", fn, api), through the same cache.
+func (a *Analyzer) internRecursiveMsg(fn, api string) string {
+	k := msgKey{prefix: "recursive", event: fn, extra: api}
+	if m, ok := a.msgCache[k]; ok {
+		return m
+	}
+	if a.msgCache == nil {
+		a.msgCache = make(map[msgKey]string)
+	}
+	m := "callback " + strconv.Quote(fn) + " recursively reschedules itself with " + api +
+		": micro-tasks have priority over all other phases and will starve the event loop"
 	a.msgCache[k] = m
 	return m
 }

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +170,87 @@ func TestMixingAcrossTicksIsFine(t *testing.T) {
 		}), 2*time.Millisecond)
 	})
 	wantNoWarning(t, a, CatMixedAPIs)
+}
+
+// TestSchedulingMessagesAcrossReset runs recursive micro-task and
+// mixed-API programs twice each on one analyzer, Reset between runs,
+// with differently named callbacks and registration sites. The
+// recursive micro-task message is cached by callback name and API, and
+// the mixed-API message renders the earlier registration's location
+// only when it warns; every message and node label must still read as
+// the fmt.Sprintf form of its own run.
+func TestSchedulingMessagesAcrossReset(t *testing.T) {
+	l := eventloop.New(eventloop.Options{TickLimit: 50})
+	b := asyncgraph.NewBuilder(asyncgraph.DefaultConfig())
+	a := NewAnalyzer(b, DefaultConfig())
+	l.Probes().Attach(b)
+	l.Probes().Attach(a)
+	// run executes one program on the reused analyzer and checks that
+	// its warnings of category are exactly the message want.
+	run := func(category Category, want string, program func()) {
+		t.Helper()
+		l.Reset()
+		b.Reset()
+		a.Reset()
+		main := vm.NewFunc("main", func([]vm.Value) vm.Value {
+			program()
+			return vm.Undefined
+		})
+		if err := l.Run(main); err != nil && err != eventloop.ErrTickLimit {
+			t.Fatal(err)
+		}
+		a.Finish()
+		ws := a.WarningsOf(category)
+		if len(ws) == 0 {
+			t.Fatalf("no %q warning; got %v", category, a.Warnings())
+		}
+		for _, w := range ws {
+			if w.Message != want {
+				t.Errorf("message %q, want %q", w.Message, want)
+			}
+			n := a.g.Node(w.Node)
+			if n == nil {
+				t.Fatalf("%q warning not anchored to a node", category)
+			}
+			if label := string(category) + ": " + want; !slices.Contains(n.Warnings, label) {
+				t.Errorf("node labels %q, want one %q", n.Warnings, label)
+			}
+		}
+	}
+	recursive := func(name string, reschedule func(self *vm.Function)) func() {
+		return func() {
+			var fn *vm.Function
+			fn = vm.NewFunc(name, func([]vm.Value) vm.Value {
+				reschedule(fn)
+				return vm.Undefined
+			})
+			l.NextTick(loc.Here(), fn)
+		}
+	}
+	viaNextTick := func(self *vm.Function) { l.NextTick(loc.Here(), self) }
+	viaThen := func(self *vm.Function) {
+		promise.Resolved(l, loc.Here(), vm.Undefined).Then(loc.Here(), self, nil)
+	}
+	recursiveMsg := func(name, api string) string {
+		return fmt.Sprintf("callback %q recursively reschedules itself with %s: micro-tasks have priority over all other phases and will starve the event loop", name, api)
+	}
+	mixedMsg := func(later, earlier string, at loc.Loc) string {
+		return fmt.Sprintf("%s (registered after %s at %s) will execute before it: mixing similar APIs with different scheduling priorities", later, earlier, at)
+	}
+
+	run(CatRecursiveMicrotask, recursiveMsg("compute", eventloop.APINextTick), recursive("compute", viaNextTick))
+	immAt := loc.Here()
+	run(CatMixedAPIs, mixedMsg(eventloop.APINextTick, eventloop.APISetImmediate, immAt), func() {
+		l.SetImmediate(immAt, noop("imm"))
+		l.NextTick(loc.Here(), noop("tick"))
+	})
+	run(CatRecursiveMicrotask, recursiveMsg("spin", eventloop.APINextTick), recursive("spin", viaNextTick))
+	run(CatRecursiveMicrotask, recursiveMsg("spin", promise.APIThen), recursive("spin", viaThen))
+	timeoutAt := loc.Here()
+	run(CatMixedAPIs, mixedMsg(eventloop.APINextTick, eventloop.APISetTimeout, timeoutAt), func() {
+		l.SetTimeout(timeoutAt, noop("timeout"), 0)
+		l.NextTick(loc.Here(), noop("tick"))
+	})
 }
 
 func TestUnexpectedTimeoutOrderWarning(t *testing.T) {

@@ -26,7 +26,7 @@ type similarReg struct {
 	api   string
 	rank  int
 	node  asyncgraph.NodeID
-	loc   string
+	loc   loc.Loc
 	order int
 }
 
@@ -199,7 +199,7 @@ func (s *schedState) addSimilar(a *Analyzer, ev *vm.APIEvent, rank int) {
 		api:   ev.API,
 		rank:  rank,
 		node:  a.lastCRNode(ev),
-		loc:   ev.Loc.String(),
+		loc:   ev.Loc,
 		order: len(s.tickSimilar),
 	})
 }
@@ -217,10 +217,7 @@ func (s *schedState) noteMicroReschedule(a *Analyzer, ev *vm.APIEvent, api strin
 		}
 		s.selfResched[reg.Callback]++
 		if s.selfResched[reg.Callback] >= RecursiveMicroThreshold {
-			a.g.AddWarning(a.lastCRNode(ev), CatRecursiveMicrotask,
-				fmt.Sprintf("callback %q recursively reschedules itself with %s: micro-tasks have priority over all other phases and will starve the event loop",
-					reg.Callback.Name, api),
-				ev.Loc)
+			a.g.AddWarning(a.lastCRNode(ev), CatRecursiveMicrotask, a.internRecursiveMsg(reg.Callback.Name, api), ev.Loc)
 		}
 	}
 }

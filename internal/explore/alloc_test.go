@@ -30,19 +30,24 @@ type allocWorkload struct {
 	ops int
 	// metrics turns run metrics on (WithRunMetrics).
 	metrics bool
-	budget  [2]float64
+	// chains attaches causal chains after the runs (WithChains).
+	chains bool
+	budget [2]float64
 }
 
 // allocWorkloads are bench/'s three explore workloads — target,
 // strategy and run budget as in bench/workloads.go, every seed 1 — a
-// coverage walk of the case study, and case-random with run metrics on,
-// as serve runs every job that does not set noMetrics.
+// coverage walk of the case study, case-random with run metrics on, as
+// serve runs every job that does not set noMetrics, and a starvation
+// case as serve-table1 submits it: 64 runs at the service's default
+// seed 0, metrics and chains on.
 var allocWorkloads = []allocWorkload{
-	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, [2]float64{20.01, 23.04}},
-	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, [2]float64{3710.76, 3987.39}},
-	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, [2]float64{2804.23, 2894.73}},
-	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, [2]float64{22.94, 23.65}},
-	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, [2]float64{30.48, 31.70}},
+	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, false, [2]float64{20.01, 23.04}},
+	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{3710.76, 3987.39}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{2804.23, 2894.73}},
+	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, false, [2]float64{22.94, 23.65}},
+	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, false, [2]float64{30.48, 31.70}},
+	{"serve-starvation", "case:GH-npm-12754", 64, func() Strategy { return NewRandom(0) }, 8, true, true, [2]float64{51.95, 61.65}},
 }
 
 // TestAllocBudget is the allocation gate: every exploration, runner
@@ -67,6 +72,9 @@ func TestAllocBudget(t *testing.T) {
 				opts := []Option{WithRuns(w.runs), WithWorkers(workers)}
 				if w.metrics {
 					opts = append(opts, WithRunMetrics())
+				}
+				if w.chains {
+					opts = append(opts, WithChains())
 				}
 				perOp := testing.AllocsPerRun(w.ops, func() {
 					res, err := Run(context.Background(), tg, append(opts, WithStrategy(w.strategy()))...)

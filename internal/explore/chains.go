@@ -51,8 +51,12 @@ func AttachChains(t Target, res *Result, debugStacks bool) {
 	}
 }
 
-// chainsForToken replays one schedule and indexes every warning's chain
-// by its exploration key.
+// chainsForToken replays one schedule and indexes, by exploration key,
+// the chain of the first warning of each key in report order — the one
+// Replay stamps first. Later warnings of a key are not walked: a
+// callback that reschedules itself a hundred times warns a hundred
+// times from one location, each chain two hops longer than the last,
+// and a key keeps one chain.
 func chainsForToken(t Target, token string, debugStacks bool) map[string][]asyncgraph.ChainHop {
 	var extra []asyncg.Option
 	if debugStacks {
@@ -62,11 +66,12 @@ func chainsForToken(t Target, token string, debugStacks bool) map[string][]async
 	if err != nil || report == nil || report.Graph == nil {
 		return nil
 	}
-	out := make(map[string][]asyncgraph.ChainHop, len(report.Warnings))
+	pw, in := provenance.NewWalker(report.Graph), newIntern()
+	out := make(map[string][]asyncgraph.ChainHop)
 	for _, w := range report.Warnings {
-		key := warnKey(w)
+		key := in.key(w)
 		if _, dup := out[key]; !dup {
-			out[key] = w.Chain
+			out[key] = pw.Chain(w.Node)
 		}
 	}
 	return out

@@ -5,48 +5,58 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
+
+	"asyncg/internal/asyncgraph"
+	"asyncg/internal/casestudy"
 )
 
 // TestChainsAttached: WithChains must leave every witnessed warning stat
-// carrying a non-empty async causal chain, and replaying the witness
-// token must reproduce the identical warning set and the identical
-// chain — the chain is a deterministic function of (target, token).
+// carrying the chain that Replay stamps on the first warning of its key
+// in the witness schedule — the chain is a deterministic function of
+// (target, token), and a key keeps its first warning's chain. A
+// starvation case warns from one site on every reschedule, each later
+// chain longer than the first, so every Table I case runs. A warning
+// anchored to a graph node must get a non-empty chain.
 func TestChainsAttached(t *testing.T) {
-	tg := caseTarget(t, "fig4")
-	res := mustRun(t, tg, WithRuns(8), WithSeed(1), WithChains())
-	if len(res.Warnings) == 0 {
-		t.Fatal("no warnings classified")
+	ids := []string{"fig4"}
+	for _, c := range casestudy.Table1() {
+		ids = append(ids, c.ID)
 	}
-	for _, ws := range res.Warnings {
-		if ws.Witness == "" {
-			continue
-		}
-		if len(ws.Chain) == 0 {
-			t.Errorf("%s: witnessed warning has no chain", ws.Key)
-			continue
-		}
-		_, report, err := Replay(tg, ws.Witness)
-		if err != nil {
-			t.Fatalf("%s: replay %s: %v", ws.Key, ws.Witness, err)
-		}
-		found := false
-		for _, w := range report.Warnings {
-			if warnKey(w) != ws.Key {
-				continue
+	for _, id := range ids {
+		t.Run(id, func(t *testing.T) {
+			tg := caseTarget(t, id)
+			res := mustRun(t, tg, WithRuns(8), WithSeed(1), WithChains())
+			if len(res.Warnings) == 0 {
+				t.Fatal("no warnings classified")
 			}
-			found = true
-			if w.ReplayToken != ws.Witness {
-				t.Errorf("%s: replayed warning carries token %q, want %q", ws.Key, w.ReplayToken, ws.Witness)
+			for _, ws := range res.Warnings {
+				if ws.Witness == "" {
+					continue
+				}
+				_, report, err := Replay(tg, ws.Witness)
+				if err != nil {
+					t.Fatalf("%s: replay %s: %v", ws.Key, ws.Witness, err)
+				}
+				i := slices.IndexFunc(report.Warnings, func(w asyncgraph.Warning) bool { return warnKey(w) == ws.Key })
+				if i < 0 {
+					t.Errorf("%s: witness replay did not reproduce the warning", ws.Key)
+					continue
+				}
+				first := report.Warnings[i]
+				if first.ReplayToken != ws.Witness {
+					t.Errorf("%s: replayed warning carries token %q, want %q", ws.Key, first.ReplayToken, ws.Witness)
+				}
+				if first.Node != asyncgraph.NoNode && len(ws.Chain) == 0 {
+					t.Errorf("%s: witnessed warning has no chain", ws.Key)
+				}
+				if !reflect.DeepEqual(first.Chain, ws.Chain) {
+					t.Errorf("%s: classified chain differs from the first replayed warning's:\nreplay:   %+v\nclassify: %+v",
+						ws.Key, first.Chain, ws.Chain)
+				}
 			}
-			if !reflect.DeepEqual(w.Chain, ws.Chain) {
-				t.Errorf("%s: replayed chain differs from classified chain:\nreplay:   %+v\nclassify: %+v",
-					ws.Key, w.Chain, ws.Chain)
-			}
-		}
-		if !found {
-			t.Errorf("%s: witness replay did not reproduce the warning", ws.Key)
-		}
+		})
 	}
 }
 

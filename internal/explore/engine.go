@@ -558,16 +558,17 @@ func Replay(t Target, token string, extra ...asyncg.Option) (RunResult, *asyncg.
 	if err != nil {
 		return RunResult{}, nil, err
 	}
+	annotateReport(report, token)
 	rr := RunResult{Token: token}
 	newIntern().summarize(&rr, report, runErr)
 	return rr, report, nil
 }
 
 // replay is the replay behind Replay and chains: one run of t on a cold
-// runtime under the schedule token, every warning of the report
-// annotated with its provenance (see annotateReport), and nothing else
-// computed. err reports a malformed token; runErr is the run's own
-// limit error, if any.
+// runtime under the schedule token, and nothing else computed — Replay
+// annotates every warning of the report, chainsForToken walks one chain
+// per warning key. err reports a malformed token; runErr is the run's
+// own limit error, if any.
 func replay(t Target, token string, extra []asyncg.Option) (report *asyncg.Report, runErr, err error) {
 	sched, err := ParseToken(token)
 	if err != nil {
@@ -575,7 +576,6 @@ func replay(t Target, token string, extra []asyncg.Option) (report *asyncg.Repor
 	}
 	ch := newChooser(AllKinds(), playbackNext(sched.Picks))
 	report, runErr = t.runFresh(append([]asyncg.Option{asyncg.WithScheduler(ch)}, extra...)...)
-	annotateReport(report, token)
 	return report, runErr, nil
 }
 
