@@ -21,9 +21,10 @@ func runFig6(args []string) int {
 		clients  = fs.Int("clients", 0, "concurrent virtual clients")
 		seed     = fs.Int64("seed", 1, "workload RNG seed")
 		metrics  = fs.Bool("metrics", false, "print the observability metrics report next to Fig. 6b")
+		out      = fs.String("out", "", "also write the Fig. 6a measurement as JSON, with the host, to this file")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "Usage: asyncg fig6 [-fig 6a|6b|all] [-requests N] [-clients N] [-seed N] [-metrics]\n\n")
+		fmt.Fprintf(fs.Output(), "Usage: asyncg fig6 [-fig 6a|6b|all] [-requests N] [-clients N] [-seed N] [-metrics] [-out file]\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -41,11 +42,11 @@ func runFig6(args []string) int {
 
 	switch *fig {
 	case "6a":
-		return fig6a(load)
+		return fig6a(load, *out)
 	case "6b":
 		return fig6b(load, *metrics)
 	case "all":
-		if code := fig6a(load); code != exitOK {
+		if code := fig6a(load, *out); code != exitOK {
 			return code
 		}
 		fmt.Println()
@@ -56,7 +57,7 @@ func runFig6(args []string) int {
 	}
 }
 
-func fig6a(load experiments.LoadSpec) int {
+func fig6a(load experiments.LoadSpec, out string) int {
 	fmt.Printf("running AcmeAir: %d requests, %d clients, seed %d\n",
 		load.Requests, load.Clients, load.Seed)
 	rows, err := experiments.RunFig6a(load)
@@ -65,6 +66,20 @@ func fig6a(load experiments.LoadSpec) int {
 		return exitFindings
 	}
 	experiments.WriteFig6a(os.Stdout, rows)
+	if out == "" {
+		return exitOK
+	}
+	f, err := os.Create(out)
+	if err == nil {
+		err = experiments.WriteFig6aJSON(f, load, rows)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return exitUsage
+	}
 	return exitOK
 }
 

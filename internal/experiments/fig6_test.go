@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -35,6 +36,9 @@ func TestFig6aShape(t *testing.T) {
 	for _, r := range rows {
 		if r.Failed != 0 {
 			t.Fatalf("%s: %d failed requests", r.Setting, r.Failed)
+		}
+		if len(r.Rounds) != Fig6aRounds {
+			t.Fatalf("%s: %d rounds, want %d", r.Setting, len(r.Rounds), Fig6aRounds)
 		}
 	}
 	// The paper's shape — full tracking costs the most, the no-promise
@@ -86,6 +90,45 @@ func TestWriteHelpers(t *testing.T) {
 	}
 	if strings.Count(out, "\n") != 10 { // header x2 + 8 rows
 		t.Fatalf("table2 rows: %q", out)
+	}
+}
+
+// TestQuartiles pins the quartile rule to Python's
+// statistics.quantiles(xs, n=4) on the round counts RunFig6a uses.
+func TestQuartiles(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want [3]float64
+	}{
+		{[]float64{5, 1, 4, 2, 3}, [3]float64{1.5, 3, 4.5}},
+		{[]float64{10, 20, 30, 40}, [3]float64{12.5, 25, 37.5}},
+		{[]float64{7}, [3]float64{7, 7, 7}},
+	} {
+		q1, med, q3 := quartiles(c.xs)
+		if got := [3]float64{q1, med, q3}; got != c.want {
+			t.Errorf("quartiles = %v, want %v", got, c.want)
+		}
+	}
+}
+
+func TestWriteFig6aJSON(t *testing.T) {
+	rows := []Fig6aRow{
+		{Setting: Baseline, Throughput: 100, ThroughputIQR: 4, Rounds: []float64{98, 100, 103}, Slowdown: 1},
+		{Setting: WithPromise, Throughput: 40, Rounds: []float64{40, 40, 41}, Slowdown: 2.5, GraphNodes: 9},
+	}
+	var sb strings.Builder
+	if err := WriteFig6aJSON(&sb, smallLoad(), rows); err != nil {
+		t.Fatal(err)
+	}
+	var rec fig6aRecord
+	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Host.CPUs == 0 || rec.Host.Go == "" || rec.Load.Requests != 300 || rec.Rounds != Fig6aRounds {
+		t.Fatalf("record header: %+v", rec)
+	}
+	if len(rec.Settings) != 2 || rec.Settings[1].Slowdown != 2.5 || rec.Settings[1].GraphNodes != 9 || len(rec.Settings[0].Rounds) != 3 {
+		t.Fatalf("record settings: %+v", rec.Settings)
 	}
 }
 
