@@ -1,6 +1,7 @@
 package mongosim
 
 import (
+	"reflect"
 	"testing"
 
 	"asyncg/internal/eventloop"
@@ -264,15 +265,38 @@ func TestDriverTicksGenerateNextTickActivity(t *testing.T) {
 	}
 }
 
+// TestUpdateIDRejected: a set holding _id fails before it writes any
+// field, whichever order the set's map yields its keys in, on an
+// unsealed and on a sealed DB (whose undo log must stay empty). A set
+// that matches nothing still succeeds with 0 documents.
 func TestUpdateIDRejected(t *testing.T) {
-	var gotErr vm.Value
-	run(t, func(l *eventloop.Loop, db *DB) {
-		c := db.C("x")
-		c.InsertSync(Document{"a": 1})
-		c.Update(loc.Here(), ``, Document{"_id": 99}, cb("u", func(err, res vm.Value) { gotErr = err }))
-	})
-	if vm.IsUndefined(gotErr) {
-		t.Fatal("updating _id succeeded")
+	for _, sealed := range []bool{false, true} {
+		for i := 0; i < 50; i++ {
+			var gotErr, gotN, missErr, missN vm.Value
+			var db *DB
+			run(t, func(l *eventloop.Loop, d *DB) {
+				db = d
+				c := db.C("x")
+				c.InsertSync(Document{"a": 1})
+				if sealed {
+					db.Seal()
+				}
+				c.Update(loc.Here(), ``, Document{"_id": 99, "b": 2, "c": 3}, cb("u", func(err, n vm.Value) { gotErr, gotN = err, n }))
+				c.Update(loc.Here(), `a == 2`, Document{"_id": 99}, cb("miss", func(err, n vm.Value) { missErr, missN = err, n }))
+			})
+			if vm.IsUndefined(gotErr) || gotN != 0 {
+				t.Fatalf("sealed=%v: updating _id gave err %v, n %v", sealed, gotErr, gotN)
+			}
+			if !vm.IsUndefined(missErr) || missN != 0 {
+				t.Fatalf("sealed=%v: a set with _id that matches nothing gave err %v, n %v", sealed, missErr, missN)
+			}
+			if got, want := db.C("x").docs[0], (Document{"_id": int64(1), "a": 1}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("sealed=%v: rejected update left %v, want %v", sealed, got, want)
+			}
+			if len(db.undo) != 0 {
+				t.Fatalf("sealed=%v: rejected update logged %d undo entries", sealed, len(db.undo))
+			}
+		}
 	}
 }
 

@@ -317,6 +317,26 @@ func (c cmpExpr) Match(d Document) bool {
 	return false
 }
 
+// eqConjunct finds a string-equality comparison (path == "lit") that
+// expr requires: expr itself, or one side of an && at any depth,
+// leftmost first. A document expr matches always satisfies it.
+func eqConjunct(expr Expr) (path, val string, ok bool) {
+	switch e := expr.(type) {
+	case cmpExpr:
+		if e.kind == tokString && e.op == "==" {
+			return e.path, e.str, true
+		}
+	case binExpr:
+		if !e.or {
+			if path, val, ok = eqConjunct(e.left); ok {
+				return path, val, true
+			}
+			return eqConjunct(e.right)
+		}
+	}
+	return "", "", false
+}
+
 func toFloat(v any) (float64, bool) {
 	switch t := v.(type) {
 	case int:
