@@ -285,7 +285,7 @@ func TestFormRoundTrip(t *testing.T) {
 		"empty":    "",
 		"sym":      "a&b=c%d",
 	}
-	out := parseForm([]byte(encodeForm(in)))
+	out := parseForm(encodeForm(in))
 	if len(out) != len(in) {
 		t.Fatalf("out = %v", out)
 	}
@@ -297,7 +297,7 @@ func TestFormRoundTrip(t *testing.T) {
 }
 
 func TestParseFormTolerance(t *testing.T) {
-	out := parseForm([]byte("a=1&&b&c=x=y"))
+	out := parseForm("a=1&&b&c=x=y")
 	if out["a"] != "1" || out["b"] != "" || out["c"] != "x=y" {
 		t.Fatalf("out = %v", out)
 	}

@@ -12,16 +12,15 @@ import "strings"
 // parseForm decodes an application/x-www-form-urlencoded body
 // ("login=uid0&password=pw") into a map. It implements the subset the
 // benchmark driver produces: %XX escapes and '+' for space.
-func parseForm(body []byte) map[string]string {
+func parseForm(body string) map[string]string {
 	out := make(map[string]string)
-	for _, pair := range strings.Split(string(body), "&") {
+	for body != "" {
+		var pair string
+		pair, body, _ = strings.Cut(body, "&")
 		if pair == "" {
 			continue
 		}
-		key, val := pair, ""
-		if idx := strings.IndexByte(pair, '='); idx >= 0 {
-			key, val = pair[:idx], pair[idx+1:]
-		}
+		key, val, _ := strings.Cut(pair, "=")
 		out[unescape(key)] = unescape(val)
 	}
 	return out
@@ -51,7 +50,12 @@ func encodeForm(fields map[string]string) string {
 	return sb.String()
 }
 
+// unescape decodes %XX escapes and '+'; a string with neither is
+// returned as it is.
 func unescape(s string) string {
+	if !strings.ContainsAny(s, "%+") {
+		return s
+	}
 	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch {
