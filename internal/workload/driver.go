@@ -317,30 +317,45 @@ func (c *client) handle(op Op, status int, body []byte) {
 		c.next()
 		return
 	}
-	var payload map[string]any
-	_ = json.Unmarshal(body, &payload)
 	switch op {
 	case OpLogin:
-		if sid, ok := payload["sessionid"].(string); ok {
+		if sid := decodeResponse(body).SessionID; sid != "" {
 			c.session = sid
 		}
 	case OpLogout:
 		c.session = ""
 	case OpQueryFlights:
 		c.flights = c.flights[:0]
-		if flights, ok := payload["flights"].([]any); ok {
-			for _, f := range flights {
-				if doc, ok := f.(map[string]any); ok {
-					if id, ok := doc["flightId"].(string); ok {
-						c.flights = append(c.flights, id)
-					}
-				}
+		for _, f := range decodeResponse(body).Flights {
+			if f.FlightID != "" {
+				c.flights = append(c.flights, f.FlightID)
 			}
 		}
 	case OpBookFlight:
-		if bid, ok := payload["bookingId"].(string); ok {
+		if bid := decodeResponse(body).BookingID; bid != "" {
 			c.bookings = append(c.bookings, bid)
 		}
 	}
 	c.next()
+}
+
+// response holds the fields of a response body the client reads: the
+// session a login opens, the flights a query lists and the booking a
+// booking makes.
+type response struct {
+	SessionID string `json:"sessionid"`
+	Flights   []struct {
+		FlightID string `json:"flightId"`
+	} `json:"flights"`
+	BookingID string `json:"bookingId"`
+}
+
+// decodeResponse decodes the fields the client reads from a 2xx body.
+// The server answers these operations with JSON objects whose fields
+// have these types, so a body that fails to decode leaves them empty
+// and the client carries on as it would with an empty answer.
+func decodeResponse(body []byte) response {
+	var r response
+	_ = json.Unmarshal(body, &r)
+	return r
 }

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"asyncg/internal/acmeair"
@@ -178,5 +180,43 @@ func TestLatencyStatistics(t *testing.T) {
 	}
 	if s.Percentile(0) > p50 || p95 > s.Percentile(100) {
 		t.Fatal("percentiles not monotone")
+	}
+}
+
+// TestDecodeResponseMatchesMapDecode: on the bodies the server answers
+// the three decoded operations with — a login, flight lists (some, none,
+// null), a booking — and on error and malformed bodies, the typed decode
+// yields what reading the same fields off a map[string]any does.
+func TestDecodeResponseMatchesMapDecode(t *testing.T) {
+	for _, body := range []string{
+		`{"sessionid":"s12","status":"logged in"}`,
+		`{"flights":[{"_id":7,"firstClassPrice":583,"flightId":"AA1-0","flightSegmentId":"AA1","numSeats":180,"price":131,"scheduledHour":6},{"flightId":"AA1-1","flightSegmentId":"AA1"}]}`,
+		`{"flights":[]}`,
+		`{"flights":null}`,
+		`{"bookingId":"b3"}`,
+		`{"error":"invalid credentials"}`,
+		`null`,
+		`not json`,
+	} {
+		var payload map[string]any
+		_ = json.Unmarshal([]byte(body), &payload)
+		wantSID, _ := payload["sessionid"].(string)
+		wantBID, _ := payload["bookingId"].(string)
+		var wantFlights []string
+		if flights, ok := payload["flights"].([]any); ok {
+			for _, f := range flights {
+				if id, ok := f.(map[string]any)["flightId"].(string); ok {
+					wantFlights = append(wantFlights, id)
+				}
+			}
+		}
+		r := decodeResponse([]byte(body))
+		var gotFlights []string
+		for _, f := range r.Flights {
+			gotFlights = append(gotFlights, f.FlightID)
+		}
+		if r.SessionID != wantSID || r.BookingID != wantBID || !reflect.DeepEqual(gotFlights, wantFlights) {
+			t.Errorf("%s: decoded %q %q %q, map decode %q %q %q", body, r.SessionID, gotFlights, r.BookingID, wantSID, wantFlights, wantBID)
+		}
 	}
 }
