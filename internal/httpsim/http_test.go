@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"strings"
 	"testing"
 
 	"asyncg/internal/eventloop"
@@ -51,6 +52,34 @@ func TestHelloWorldExchange(t *testing.T) {
 	})
 	if status != 200 || body != "Hello World!" {
 		t.Fatalf("status=%d body=%q", status, body)
+	}
+}
+
+// TestWriteThenEnd: End appends its data to what Write buffered, and a
+// handler may reuse the slice it passed to End once End returns.
+func TestWriteThenEnd(t *testing.T) {
+	var bodies []string
+	serve(t, func(l *eventloop.Loop, n *netio.Network) {
+		scratch := []byte("cd")
+		srv := CreateServer(n, loc.Here(), fn("handler", func(args []vm.Value) {
+			res := args[1].(*ServerResponse)
+			if args[0].(*IncomingMessage).Path == "/write" {
+				res.Write([]byte("ab"))
+			}
+			res.End(loc.Here(), scratch)
+			copy(scratch, "xx")
+		}))
+		if err := srv.Listen(loc.Here(), 5000); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/write", "/end"} {
+			Get(n, loc.Here(), 5000, path, fn("onResp", func(args []vm.Value) {
+				CollectBody(args[0].(*IncomingMessage), func(b []byte) { bodies = append(bodies, path+"="+string(b)) })
+			}))
+		}
+	})
+	if got := strings.Join(bodies, " "); got != "/write=abcd /end=xx" {
+		t.Fatalf("bodies = %q, want /write=abcd and /end=xx", got)
 	}
 }
 

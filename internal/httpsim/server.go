@@ -73,13 +73,18 @@ func (r *ServerResponse) Write(data []byte) *ServerResponse {
 
 // End finishes the response, optionally appending final body data, and
 // writes it to the socket. Without keep-alive the connection is closed.
+// The wire message is encoded before End returns, so data is not kept.
 func (r *ServerResponse) End(at loc.Loc, data []byte) {
 	if r.finished {
 		return
 	}
 	r.finished = true
-	r.body = append(r.body, data...)
-	wire := EncodeResponse(r.status, r.headers, r.body)
+	body := data
+	if len(r.body) > 0 {
+		r.body = append(r.body, data...)
+		body = r.body
+	}
+	wire := EncodeResponse(r.status, r.headers, body)
 	if r.keepAlive {
 		r.sock.Write(at, wire)
 		return

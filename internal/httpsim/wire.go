@@ -181,26 +181,27 @@ func (p *Parser) takeLine() (string, bool) {
 
 // parseStartLine parses either "GET /x HTTP/1.1" or "HTTP/1.1 200 OK".
 func parseStartLine(line string) (*Head, error) {
-	parts := strings.SplitN(line, " ", 3)
-	if len(parts) < 3 {
+	first, rest, ok1 := strings.Cut(line, " ")
+	second, third, ok2 := strings.Cut(rest, " ")
+	if !ok1 || !ok2 {
 		return nil, fmt.Errorf("httpsim: malformed start line %q", line)
 	}
 	h := &Head{Headers: make(map[string]string)}
-	if strings.HasPrefix(parts[0], "HTTP/") {
+	if strings.HasPrefix(first, "HTTP/") {
 		h.Kind = ResponseMessage
-		h.Proto = parts[0]
-		status, err := strconv.Atoi(parts[1])
+		h.Proto = first
+		status, err := strconv.Atoi(second)
 		if err != nil {
 			return nil, fmt.Errorf("httpsim: malformed status in %q", line)
 		}
 		h.Status = status
-		h.StatusText = parts[2]
+		h.StatusText = third
 		return h, nil
 	}
 	h.Kind = RequestMessage
-	h.Method = parts[0]
-	h.Path = parts[1]
-	h.Proto = parts[2]
+	h.Method = first
+	h.Path = second
+	h.Proto = third
 	if !strings.HasPrefix(h.Proto, "HTTP/") {
 		return nil, fmt.Errorf("httpsim: malformed protocol in %q", line)
 	}
@@ -217,50 +218,85 @@ func parseHeaderLine(line string) (key, val string, err error) {
 
 // EncodeRequest serializes a request message.
 func EncodeRequest(method, path string, headers map[string]string, body []byte) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", method, path)
-	writeHeaders(&b, headers, len(body))
-	b.Write(body)
-	return []byte(b.String())
+	var buf [8]header
+	hs, declare, size := wireHeaders(buf[:0], headers, len(body))
+	b := make([]byte, 0, len(method)+len(" ")+len(path)+len(" HTTP/1.1\r\n")+size+len(body))
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\n"...)
+	return append(appendHeaders(b, hs, declare), body...)
 }
 
 // EncodeResponse serializes a response message.
 func EncodeResponse(status int, headers map[string]string, body []byte) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", status, StatusText(status))
-	writeHeaders(&b, headers, len(body))
-	b.Write(body)
-	return []byte(b.String())
+	var buf [8]header
+	hs, declare, size := wireHeaders(buf[:0], headers, len(body))
+	text := StatusText(status)
+	b := make([]byte, 0, len("HTTP/1.1 ")+decimalLen(status)+len(" ")+len(text)+len("\r\n")+size+len(body))
+	b = append(b, "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, ' ')
+	b = append(b, text...)
+	b = append(b, "\r\n"...)
+	return append(appendHeaders(b, hs, declare), body...)
 }
 
-func writeHeaders(b *strings.Builder, headers map[string]string, bodyLen int) {
-	seenCL := false
-	// Deterministic header order: sorted keys.
-	keys := make([]string, 0, len(headers))
-	for k := range headers {
-		keys = append(keys, k)
-	}
-	sortStrings(keys)
-	for _, k := range keys {
+// header is one header line to encode.
+type header struct{ key, val string }
+
+// wireHeaders returns a message's header lines sorted by key, for
+// deterministic wire bytes, in buf while they fit. declare is the body
+// length a Content-Length line must state: the body's, unless the
+// headers already carry one or the body is empty, when it is 0. size is
+// the encoded length of the lines, that one and the blank line after.
+func wireHeaders(buf []header, headers map[string]string, bodyLen int) (hs []header, declare, size int) {
+	hs = buf
+	declare = bodyLen
+	size = len("\r\n")
+	for k, v := range headers {
+		hs = append(hs, header{k, v})
+		for i := len(hs) - 1; i > 0 && hs[i].key < hs[i-1].key; i-- {
+			hs[i], hs[i-1] = hs[i-1], hs[i]
+		}
 		if strings.EqualFold(k, "content-length") {
-			seenCL = true
+			declare = 0
 		}
-		fmt.Fprintf(b, "%s: %s\r\n", k, headers[k])
+		size += len(k) + len(": ") + len(v) + len("\r\n")
 	}
-	if !seenCL && bodyLen > 0 {
-		fmt.Fprintf(b, "Content-Length: %d\r\n", bodyLen)
+	if declare > 0 {
+		size += len("Content-Length: ") + decimalLen(declare) + len("\r\n")
 	}
-	b.WriteString("\r\n")
+	return hs, declare, size
 }
 
-// sortStrings is insertion sort: header maps are tiny and this keeps the
-// hot path free of sort's interface allocations.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// appendHeaders appends the header lines, a Content-Length line when
+// declare is positive and the blank line that ends the head.
+func appendHeaders(b []byte, hs []header, declare int) []byte {
+	for _, h := range hs {
+		b = append(b, h.key...)
+		b = append(b, ": "...)
+		b = append(b, h.val...)
+		b = append(b, "\r\n"...)
 	}
+	if declare > 0 {
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, int64(declare), 10)
+		b = append(b, "\r\n"...)
+	}
+	return append(b, "\r\n"...)
+}
+
+// decimalLen is the length of n written in decimal.
+func decimalLen(n int) int {
+	l := 1
+	if n < 0 {
+		l++
+	}
+	for ; n >= 10 || n <= -10; n /= 10 {
+		l++
+	}
+	return l
 }
 
 // StatusText returns the reason phrase for common status codes.

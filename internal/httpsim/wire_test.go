@@ -2,6 +2,9 @@ package httpsim
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,5 +243,64 @@ func TestStatusTextCoverage(t *testing.T) {
 	}
 	if StatusText(599) != "Unknown" {
 		t.Error("unexpected text for 599")
+	}
+}
+
+// fmtEncode is the fmt-based encoder the wire encoders replaced, kept as
+// their reference: the start line, the headers in sorted key order as
+// "key: value", a Content-Length for a non-empty body unless a header
+// (in any case) sets one, a blank line and the body.
+func fmtEncode(start string, headers map[string]string, body []byte) []byte {
+	var b strings.Builder
+	b.WriteString(start)
+	keys := make([]string, 0, len(headers))
+	for k := range headers {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	seenCL := false
+	for _, k := range keys {
+		seenCL = seenCL || strings.EqualFold(k, "content-length")
+		fmt.Fprintf(&b, "%s: %s\r\n", k, headers[k])
+	}
+	if !seenCL && len(body) > 0 {
+		fmt.Fprintf(&b, "Content-Length: %d\r\n", len(body))
+	}
+	b.WriteString("\r\n")
+	b.Write(body)
+	return []byte(b.String())
+}
+
+// TestQuickEncodeMatchesFmtReference: property — both encoders write the
+// reference's bytes for any method, path, status, header map (more
+// headers than the encoders sort on the stack included, with and
+// without a Content-Length of any case) and body, and size their buffer
+// exactly.
+func TestQuickEncodeMatchesFmtReference(t *testing.T) {
+	f := func(method, path string, status int16, keys []string, clen uint8, body []byte) bool {
+		headers := make(map[string]string)
+		for i, k := range keys {
+			headers[k] = path + string(rune('a'+i%26))
+		}
+		switch clen % 3 {
+		case 1:
+			headers["content-length"] = "0"
+		case 2:
+			headers["Content-Length"] = "7"
+		}
+		req := EncodeRequest(method, path, headers, body)
+		resp := EncodeResponse(int(status), headers, body)
+		return bytes.Equal(req, fmtEncode(fmt.Sprintf("%s %s HTTP/1.1\r\n", method, path), headers, body)) &&
+			bytes.Equal(resp, fmtEncode(fmt.Sprintf("HTTP/1.1 %d %s\r\n", status, StatusText(int(status))), headers, body)) &&
+			len(req) == cap(req) && len(resp) == cap(resp)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	for _, status := range []int{0, 7, 200, -1, -404, math.MaxInt, math.MinInt} {
+		got := EncodeResponse(status, nil, nil)
+		if want := fmtEncode(fmt.Sprintf("HTTP/1.1 %d %s\r\n", status, StatusText(status)), nil, nil); !bytes.Equal(got, want) || len(got) != cap(got) {
+			t.Errorf("status %d: %q (cap %d), want %q", status, got, cap(got), want)
+		}
 	}
 }
