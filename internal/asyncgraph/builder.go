@@ -272,13 +272,6 @@ func (b *Builder) recyclePCR(cr *pendingCR) {
 // reported). A correct simulator produces none.
 func (b *Builder) Anomalies() []string { return b.anomalies }
 
-// CurrentTick returns the uncommitted tick under construction, or nil
-// between ticks.
-func (b *Builder) CurrentTick() *Tick { return b.curTick }
-
-// CommittedTicks returns the number of ticks appended to the graph.
-func (b *Builder) CommittedTicks() int { return len(b.g.Ticks) }
-
 // NodeByRegSeq returns the CR node for a registration sequence, or nil.
 func (b *Builder) NodeByRegSeq(seq uint64) *Node {
 	if cr, ok := b.byRegSeq[seq]; ok {

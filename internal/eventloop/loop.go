@@ -401,9 +401,6 @@ func (l *Loop) EmitAPIEvent(ev *vm.APIEvent) {
 	}
 }
 
-// ProbesActive reports whether any instrumentation hook is attached.
-func (l *Loop) ProbesActive() bool { return l.probes.Active() }
-
 // Invoke performs a nested synchronous call: probes see functionEnter and
 // functionExit, and a simulated exception is returned rather than
 // propagated. Callers that need JS throw-propagation semantics re-raise

@@ -308,9 +308,6 @@ func (n *Network) Listen(at loc.Loc, port int) (*Server, error) {
 // Port returns the bound port.
 func (s *Server) Port() int { return s.port }
 
-// Listening reports whether the server still accepts connections.
-func (s *Server) Listening() bool { return s.open }
-
 // Close stops accepting connections and emits 'close' through the close
 // phase once pending work drains.
 func (s *Server) Close(at loc.Loc) {

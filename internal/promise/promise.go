@@ -83,7 +83,6 @@ type Promise struct {
 	value      vm.Value // fulfillment value or rejection reason
 	reactions  []*reaction
 	settleTrig uint64
-	createdAt  loc.Loc
 }
 
 // passThrough carries the settled value through a reaction slot that has
@@ -141,7 +140,6 @@ func newPromise(l *eventloop.Loop, at loc.Loc, kind string, related []vm.ObjRef)
 	p := arenaFor(l).alloc()
 	p.loop = l
 	p.id = l.NextObjID()
-	p.createdAt = at
 	ev := l.BorrowAPIEvent()
 	ev.API = APICreate
 	ev.Event = kind
@@ -165,9 +163,6 @@ func (p *Promise) State() State { return p.state }
 // Value returns the fulfillment value or rejection reason; it is only
 // meaningful once the promise is settled.
 func (p *Promise) Value() vm.Value { return p.value }
-
-// CreatedAt returns the creation site.
-func (p *Promise) CreatedAt() loc.Loc { return p.createdAt }
 
 // String renders the promise as "Promise#id(state)".
 func (p *Promise) String() string {

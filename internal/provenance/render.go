@@ -3,7 +3,6 @@ package provenance
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"asyncg/internal/asyncgraph"
 )
@@ -66,11 +65,4 @@ func Render(w io.Writer, chain []asyncgraph.ChainHop, indent string) error {
 		}
 	}
 	return nil
-}
-
-// Sprint renders the chain to a string (see Render).
-func Sprint(chain []asyncgraph.ChainHop, indent string) string {
-	var b strings.Builder
-	Render(&b, chain, indent)
-	return b.String()
 }
