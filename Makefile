@@ -56,8 +56,8 @@ race-explore:
 	$(GO) test -race -count=10 -run 'TestParallel|TestPanic|TestRunCancel|TestRunnerReuse|TestStrategyPanicReraised|TestProgressSerialized' ./internal/explore/
 	$(GO) test -race -count=10 ./internal/loc
 
-# Short native-fuzzing passes over five decoders, the graph fingerprint
-# and the replay contract. Schedule tokens that parse must re-encode to
+# Short native-fuzzing passes over five decoders, the graph fingerprint,
+# the replay contract and two equivalences in the AcmeAir substrate. Schedule tokens that parse must re-encode to
 # the same picks. Shard wire specs must validate or fail cleanly, never
 # panic, and accepted ones must run one schedule per plan with
 # replayable tokens. Journaled shard files must be refused or hold one valid,
@@ -69,6 +69,10 @@ race-explore:
 # or edge attribute changes. A schedule token on a case-study target
 # must give the same fingerprint, warnings, run error, tick count and
 # causal chains on a fresh runner, on a reset runner and through Replay.
+# On a sealed database, every query after any sequence of inserts,
+# updates, removes and resets must return what a full scan returns, in
+# the same order; AcmeAir's response encoder must write json.Marshal's
+# bytes.
 # The fuzzer minimizes every new interesting input for up to a minute,
 # running no new inputs meanwhile, so on a 10 s budget one large input
 # can stall a target for most of its run; every line caps minimizing at
@@ -82,6 +86,8 @@ fuzz-smoke:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/mongosim -run '^$$' -fuzz '^FuzzSealedFind$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/acmeair -run '^$$' -fuzz '^FuzzResponseJSON$$' -fuzztime 10s -fuzzminimizetime 2s
 
 # End-to-end smoke of `asyncg fig6` (both figures on a small load) and
 # of a case's graph log piped through `asyncg viz` as DOT and as SVG.
