@@ -43,8 +43,8 @@ type allocWorkload struct {
 // seed 0, metrics and chains on.
 var allocWorkloads = []allocWorkload{
 	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, false, [2]float64{20.01, 23.04}},
-	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{3710.76, 3987.39}},
-	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{2804.23, 2894.73}},
+	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{2203.68, 2449.13}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{1623.40, 1722.36}},
 	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, false, [2]float64{22.94, 23.65}},
 	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, false, [2]float64{30.48, 31.70}},
 	{"serve-starvation", "case:GH-npm-12754", 64, func() Strategy { return NewRandom(0) }, 8, true, true, [2]float64{51.95, 61.65}},
