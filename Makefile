@@ -57,7 +57,8 @@ race-explore:
 	$(GO) test -race -count=10 ./internal/loc
 
 # Short native-fuzzing passes over five decoders, the graph fingerprint,
-# the replay contract and two equivalences in the AcmeAir substrate. Schedule tokens that parse must re-encode to
+# the replay contract, the exhaustive frontier and two equivalences in
+# the AcmeAir substrate. Schedule tokens that parse must re-encode to
 # the same picks. Shard wire specs must validate or fail cleanly, never
 # panic, and accepted ones must run one schedule per plan with
 # replayable tokens. Journaled shard files must be refused or hold one valid,
@@ -69,6 +70,9 @@ race-explore:
 # or edge attribute changes. A schedule token on a case-study target
 # must give the same fingerprint, warnings, run error, tick count and
 # causal chains on a fresh runner, on a reset runner and through Replay.
+# On a synthetic choice tree, the exhaustive strategy must plan every run
+# as the reference enumeration of copied prefixes does, with one or two
+# runs in flight, and report the same Exhausted flag and POR census.
 # On a sealed database, every query after any sequence of inserts,
 # updates, removes and resets must return what a full scan returns, in
 # the same order; AcmeAir's response encoder must write json.Marshal's
@@ -82,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzParseToken$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzShardSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzReplayFreshVsReused$$' -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test ./internal/explore -run '^$$' -fuzz '^FuzzExhaustiveFrontier$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz '^FuzzShardFile$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test ./internal/asyncgraph -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s -fuzzminimizetime 2s

@@ -640,26 +640,6 @@ func TestExplainCallbackDelay(t *testing.T) {
 	}
 }
 
-func TestPromiseChains(t *testing.T) {
-	a := analyze(t, func(l *eventloop.Loop) {
-		promise.Resolved(l, loc.Here(), 1).
-			Then(loc.Here(), noop("a"), nil).
-			Then(loc.Here(), noop("b"), nil).
-			Catch(loc.Here(), noop("c"))
-		promise.Resolved(l, loc.Here(), 2) // a second, single-node chain
-	})
-	chains := PromiseChains(a.g)
-	if len(chains) != 2 {
-		t.Fatalf("chains = %d, want 2", len(chains))
-	}
-	if chains[0].Size != 4 {
-		t.Fatalf("chain size = %d, want 4", chains[0].Size)
-	}
-	if len(chains[0].Leaves) != 1 {
-		t.Fatalf("leaves = %d, want 1", len(chains[0].Leaves))
-	}
-}
-
 // --- Config gating ---
 
 func TestDisabledDetectorsStaySilent(t *testing.T) {

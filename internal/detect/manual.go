@@ -69,60 +69,3 @@ func ExplainCallbackDelay(g *asyncgraph.Graph, at loc.Loc) *SyncExpectation {
 	}
 	return out
 }
-
-// ChainReport describes one promise chain in the graph: the root OB node
-// and the relation path to each leaf — the §VI-B.2 inspection aid.
-type ChainReport struct {
-	Root   *asyncgraph.Node
-	Leaves []*asyncgraph.Node
-	Size   int
-}
-
-// PromiseChains groups the graph's promise OB nodes into chains via the
-// then/catch/finally/link relation edges and returns one report per
-// chain root, in creation order.
-func PromiseChains(g *asyncgraph.Graph) []ChainReport {
-	isPromiseOB := func(n *asyncgraph.Node) bool {
-		return n != nil && n.Kind == asyncgraph.OB && n.API == "promise.create"
-	}
-	children := make(map[asyncgraph.NodeID][]asyncgraph.NodeID)
-	hasParent := make(map[asyncgraph.NodeID]bool)
-	for _, e := range g.Edges {
-		if e.Kind != asyncgraph.EdgeRelation {
-			continue
-		}
-		from, to := g.Node(e.From), g.Node(e.To)
-		if !isPromiseOB(from) || !isPromiseOB(to) {
-			continue
-		}
-		children[e.From] = append(children[e.From], e.To)
-		hasParent[e.To] = true
-	}
-	var reports []ChainReport
-	for _, n := range g.NodesOfKind(asyncgraph.OB) {
-		if !isPromiseOB(n) || hasParent[n.ID] {
-			continue
-		}
-		r := ChainReport{Root: n}
-		var walk func(id asyncgraph.NodeID)
-		seen := make(map[asyncgraph.NodeID]bool)
-		walk = func(id asyncgraph.NodeID) {
-			if seen[id] {
-				return
-			}
-			seen[id] = true
-			r.Size++
-			kids := children[id]
-			if len(kids) == 0 {
-				r.Leaves = append(r.Leaves, g.Node(id))
-				return
-			}
-			for _, k := range kids {
-				walk(k)
-			}
-		}
-		walk(n.ID)
-		reports = append(reports, r)
-	}
-	return reports
-}

@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ type allocWorkload struct {
 var allocWorkloads = []allocWorkload{
 	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, false, [2]float64{20.01, 23.04}},
 	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{2203.68, 2449.13}},
-	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{1623.40, 1722.36}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{1497.19, 1594.72}},
 	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, false, [2]float64{22.94, 23.65}},
 	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, false, [2]float64{30.48, 31.70}},
 	{"serve-starvation", "case:GH-npm-12754", 64, func() Strategy { return NewRandom(0) }, 8, true, true, [2]float64{51.95, 61.65}},
@@ -91,4 +92,50 @@ func TestAllocBudget(t *testing.T) {
 			})
 		}
 	}
+}
+
+// frontierMemoryLimit bounds the heap an exhaustive strategy retains
+// after 1,024 runs of acmeair-exhaustive's target (see
+// TestExhaustiveFrontierMemory).
+const frontierMemoryLimit = 8 << 20
+
+// TestExhaustiveFrontierMemory is the retained-memory gate of the
+// exhaustive frontier: after 1,024 runs of acmeair-exhaustive's target
+// at one worker, the strategy — the Result dropped — must hold less than
+// frontierMemoryLimit of live heap. A frontier that copies each
+// discovered prefix retains about 49 MB here; one that keeps each
+// branching run's recording once, with a fixed-size entry per prefix,
+// retains about 2 MB. The race detector allocates on its own account,
+// so a -race build skips the gate.
+func TestExhaustiveFrontierMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not comparable under -race")
+	}
+	tg, err := TargetByName("acmeair:requests=8,clients=2,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat := NewExhaustive(true)
+	before := liveHeap()
+	res, err := Run(context.Background(), tg, WithRuns(1024), WithWorkers(1), WithStrategy(strat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Runs) != 1024 || res.Exhausted {
+		t.Fatalf("%d runs, exhausted %v: want 1,024 runs of an unfinished space", len(res.Runs), res.Exhausted)
+	}
+	retained := int64(liveHeap()) - int64(before)
+	runtime.KeepAlive(strat)
+	t.Logf("strategy retains %.2f MB after 1,024 runs (limit %d MB)", float64(retained)/(1<<20), frontierMemoryLimit>>20)
+	if retained >= frontierMemoryLimit {
+		t.Error("the strategy retains more than the limit")
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

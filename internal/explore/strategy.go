@@ -438,12 +438,30 @@ func (s *delayStrategy) Observe(fb Feedback) { s.walks.put(fb.Index) }
 // non-zero independence keys), so one order — the default — represents
 // the equivalence class, and the skipped alternatives are counted in
 // PrunedPicks.
+//
+// The frontier holds no prefixes, only where to cut them from. A run
+// that branches leaves one copy of its recorded picks, up to its last
+// branching position, and each child is a fixed-size entry naming that
+// recording, the position and the sibling pick; PlanRun builds the
+// prefix when the run is planned. Retained memory is therefore the
+// observed runs' recordings plus one entry per discovered prefix —
+// O(observed runs × depth + frontier) — where a copied prefix per entry
+// would cost O(frontier × depth).
 type exhaustiveStrategy struct {
 	por      bool
-	queue    [][]int // discovered prefixes, in BFS order
-	planned  int     // runs handed out (next plan index)
-	observed int     // runs fed back
-	pruned   int     // sibling picks POR skipped
+	records  [][]int         // each branching run's picks, up to its last branching position
+	frontier []frontierEntry // discovered prefixes, in BFS order
+	planned  int             // runs handed out (next plan index)
+	observed int             // runs fed back
+	pruned   int             // sibling picks POR skipped
+}
+
+// frontierEntry is one discovered prefix: records[rec][:pos] followed by
+// the pick v. The root entry, pos -1, is the empty prefix. 32-bit fields
+// halve the frontier, the bulk of the strategy's memory; no exploration
+// comes near 2^31 recordings, positions or siblings.
+type frontierEntry struct {
+	rec, pos, v int32
 }
 
 // NewExhaustive returns the breadth-first enumeration strategy; por
@@ -452,17 +470,17 @@ type exhaustiveStrategy struct {
 // simulation state) but may merge fingerprint-distinct orders, so it is
 // opt-in.
 func NewExhaustive(por bool) Strategy {
-	return &exhaustiveStrategy{por: por, queue: [][]int{nil}}
+	return &exhaustiveStrategy{por: por, frontier: []frontierEntry{{pos: -1}}}
 }
 
 func (s *exhaustiveStrategy) Name() string { return StrategyExhaustive }
 
 func (s *exhaustiveStrategy) PlanRun(i int) (RunPlan, PlanState) {
-	if i < len(s.queue) {
+	if i < len(s.frontier) {
 		if i >= s.planned {
 			s.planned = i + 1
 		}
-		return RunPlan{Walk: StrategyExhaustive, Picks: s.queue[i]}, PlanReady
+		return RunPlan{Walk: StrategyExhaustive, Picks: s.prefix(s.frontier[i])}, PlanReady
 	}
 	if s.observed >= s.planned {
 		// Every planned run reported back and none grew the frontier
@@ -472,28 +490,43 @@ func (s *exhaustiveStrategy) PlanRun(i int) (RunPlan, PlanState) {
 	return RunPlan{}, PlanWait
 }
 
+// prefix builds entry e's forced prefix (nil for the root).
+func (s *exhaustiveStrategy) prefix(e frontierEntry) []int {
+	if e.pos < 0 {
+		return nil
+	}
+	p := make([]int, e.pos+1)
+	copy(p, s.records[e.rec][:e.pos])
+	p[e.pos] = int(e.v)
+	return p
+}
+
 func (s *exhaustiveStrategy) Plan(i int) (PickFunc, PlanState) { return planPicks(s.PlanRun(i)) }
 
+// Observe appends the run's children to the frontier. fb.Picks is
+// recycled once Observe returns, so the picks the children are cut from
+// are copied, once, up to the last position that has children.
 func (s *exhaustiveStrategy) Observe(fb Feedback) {
 	s.observed++
-	prefix := s.queue[fb.Index]
-	for pos := len(prefix); pos < len(fb.Domains); pos++ {
+	rec, last := len(s.records), -1
+	for pos := int(s.frontier[fb.Index].pos) + 1; pos < len(fb.Domains); pos++ {
 		if s.por && pos < len(fb.Independent) && fb.Independent[pos] {
 			s.pruned += fb.Domains[pos] - 1
 			continue
 		}
 		for v := 1; v < fb.Domains[pos]; v++ {
-			child := make([]int, pos+1)
-			copy(child, fb.Picks[:pos])
-			child[pos] = v
-			s.queue = append(s.queue, child)
+			s.frontier = append(s.frontier, frontierEntry{rec: int32(rec), pos: int32(pos), v: int32(v)})
+			last = pos
 		}
+	}
+	if last >= 0 {
+		s.records = append(s.records, slices.Clone(fb.Picks[:last]))
 	}
 }
 
 // Exhausted implements SpaceReporter: true when every discovered prefix
 // was executed and fed back within the budget.
-func (s *exhaustiveStrategy) Exhausted() bool { return s.observed == len(s.queue) }
+func (s *exhaustiveStrategy) Exhausted() bool { return s.observed == len(s.frontier) }
 
 // CoverageStats implements CoverageReporter (PrunedPicks only).
 func (s *exhaustiveStrategy) CoverageStats() CoverageStats {
