@@ -138,9 +138,11 @@ bench-smoke:
 	cd bench && $(GO) test -short .
 
 # Documentation checks: every exported Go declaration carries a doc
-# comment (cmd/doclint, stdlib-only) and every relative link in the
+# comment (cmd/doclint, stdlib-only), every relative link in the
 # user-facing markdown (README, ARCHITECTURE, DESIGN, EXPERIMENTS,
-# ROADMAP, docs/DEBUGGING) resolves to a file on disk.
+# ROADMAP, docs/DEBUGGING) resolves to a file on disk, and every Test,
+# Benchmark or Fuzz name that markdown cites (ROADMAP excepted) is
+# declared in a _test.go file.
 docs-check:
 	./scripts/docs_check.sh
 

@@ -1,15 +1,15 @@
 package asyncg_test
 
-// The benchmark harness regenerating the paper's evaluation:
+// Benchmarks of the paper's evaluation paths:
 //
-//	Fig. 6(a)  BenchmarkFig6a{Baseline,NoPromise,WithPromise}
 //	Fig. 6(b)  BenchmarkFig6bAPIUsage (per-request metrics)
 //	Table I    BenchmarkTableI (all bug cases detect under budget)
 //	Figs 3/5   BenchmarkGraphConstruction (AG build cost per event)
 //
-// plus ablations for the design knobs DESIGN.md calls out (chain
-// analysis, detector families, probe activation) and micro-benchmarks of
-// the substrates. Run with:
+// plus AcmeAir ablations (the builder alone, the builder with detectors,
+// and the same with debug stacks) and micro-benchmarks of the
+// substrates. Fig. 6(a) is recorded by `asyncg fig6 -fig 6a -out
+// BENCH_fig6a.json`, not here. Run with:
 //
 //	go test -bench=. -benchmem
 
@@ -41,27 +41,6 @@ func benchLoad() experiments.LoadSpec {
 		Data:     acmeair.DataSpec{Customers: 50, FlightsPerSegment: 3},
 	}
 }
-
-// benchFig6a measures one Fig. 6(a) setting, reporting requests/second.
-func benchFig6a(b *testing.B, setting experiments.Setting) {
-	b.ReportAllocs()
-	load := benchLoad()
-	var totalReq int
-	var totalTime time.Duration
-	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunSetting(setting, load)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalReq += row.Requests
-		totalTime += row.Elapsed
-	}
-	b.ReportMetric(float64(totalReq)/totalTime.Seconds(), "req/s")
-}
-
-func BenchmarkFig6aBaseline(b *testing.B)    { benchFig6a(b, experiments.Baseline) }
-func BenchmarkFig6aNoPromise(b *testing.B)   { benchFig6a(b, experiments.NoPromise) }
-func BenchmarkFig6aWithPromise(b *testing.B) { benchFig6a(b, experiments.WithPromise) }
 
 // BenchmarkFig6bAPIUsage reports the paper's per-request async-API
 // execution counts as benchmark metrics.
@@ -142,20 +121,6 @@ func BenchmarkAblationGraphOnly(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationNoChainAnalysis disables the on-the-fly promise
-// provenance (stack capture + chain walks), the dominant promise cost.
-func BenchmarkAblationNoChainAnalysis(b *testing.B) {
-	runAcmeAir(b, benchLoad(), func(l *eventloop.Loop) {
-		cfg := asyncgraph.DefaultConfig()
-		cfg.ChainAnalysis = false
-		builder := asyncgraph.NewBuilder(cfg)
-		dcfg := detect.DefaultConfig()
-		dcfg.OnTheFlyChains = false
-		l.Probes().Attach(builder)
-		l.Probes().Attach(detect.NewAnalyzer(builder, dcfg))
-	})
-}
-
 // BenchmarkAblationFullTracking is the default full configuration
 // (builder + detectors, no debug stacks) — the baseline the
 // -debug-stacks overhead is measured against.
@@ -176,18 +141,6 @@ func BenchmarkAblationDebugStacks(b *testing.B) {
 	runAcmeAir(b, benchLoad(), func(l *eventloop.Loop) {
 		cfg := asyncgraph.DefaultConfig()
 		cfg.DebugStacks = true
-		builder := asyncgraph.NewBuilder(cfg)
-		l.Probes().Attach(builder)
-		l.Probes().Attach(detect.NewAnalyzer(builder, detect.DefaultConfig()))
-	})
-}
-
-// BenchmarkAblationDetectorsOnly runs detectors without the graph — not
-// a supported configuration in AsyncG (detectors annotate graph nodes),
-// measured here with the builder in its cheapest configuration.
-func BenchmarkAblationDetectorsOnly(b *testing.B) {
-	runAcmeAir(b, benchLoad(), func(l *eventloop.Loop) {
-		cfg := asyncgraph.Config{Promises: true}
 		builder := asyncgraph.NewBuilder(cfg)
 		l.Probes().Attach(builder)
 		l.Probes().Attach(detect.NewAnalyzer(builder, detect.DefaultConfig()))

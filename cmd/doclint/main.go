@@ -13,6 +13,11 @@
 //	                        the given package directories must resolve
 //	                        to an exported declaration (references to
 //	                        packages outside the given set are skipped).
+//	doclint tests <file>... check markdown files: every Test…,
+//	                        Benchmark… or Fuzz… name they cite must be
+//	                        declared in some _test.go file under the
+//	                        working directory (a trailing * matches as a
+//	                        prefix; a /subtest suffix is ignored).
 //
 // It uses only the standard library, prints one "file:line: message"
 // finding per problem, and exits 1 when any finding was printed.
@@ -23,15 +28,17 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 )
 
 func main() {
 	if len(os.Args) < 3 {
-		fmt.Fprintln(os.Stderr, "usage: doclint docs <dir>... | doclint links <file>...")
+		fmt.Fprintln(os.Stderr, "usage: doclint docs|xref <dir>... | doclint links|tests <file>...")
 		os.Exit(2)
 	}
 	var findings int
@@ -46,6 +53,8 @@ func main() {
 		}
 	case "xref":
 		findings += lintXrefs(os.Args[2:])
+	case "tests":
+		findings += lintTestRefs(os.Args[2:])
 	default:
 		fmt.Fprintf(os.Stderr, "doclint: unknown mode %q\n", os.Args[1])
 		os.Exit(2)
@@ -82,10 +91,9 @@ func lintDocs(dir string) int {
 		}
 		if !hasPkgDoc {
 			// Anchor the finding on any file of the package.
-			for name, f := range pkg.Files {
+			for name := range pkg.Files {
 				fmt.Printf("%s:1: package %s has no package comment\n", name, pkg.Name)
 				findings++
-				_ = f
 				break
 			}
 		}
@@ -93,14 +101,14 @@ func lintDocs(dir string) int {
 			for _, decl := range f.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					if !d.Name.IsExported() || isExportedRecv(d) == skip {
+					if !d.Name.IsExported() || unexportedRecv(d) {
 						continue
 					}
 					if d.Doc == nil {
 						report(d.Pos(), "exported %s %s has no doc comment", declKind(d), d.Name.Name)
 					}
 				case *ast.GenDecl:
-					findings += lintGenDecl(report, d)
+					lintGenDecl(report, d)
 				}
 			}
 		}
@@ -108,35 +116,14 @@ func lintDocs(dir string) int {
 	return findings
 }
 
-type recvVisibility int
-
-const (
-	keep recvVisibility = iota
-	skip
-)
-
-// isExportedRecv skips methods on unexported receivers: their docs are
-// internal style, not API surface.
-func isExportedRecv(d *ast.FuncDecl) recvVisibility {
+// unexportedRecv reports a method on an unexported receiver type: its
+// docs are internal style, not API surface.
+func unexportedRecv(d *ast.FuncDecl) bool {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return keep
+		return false
 	}
-	t := d.Recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr: // generic receiver
-			t = tt.X
-		case *ast.Ident:
-			if !tt.IsExported() {
-				return skip
-			}
-			return keep
-		default:
-			return keep
-		}
-	}
+	name := recvTypeName(d.Recv.List[0].Type)
+	return name != "" && !ast.IsExported(name)
 }
 
 func declKind(d *ast.FuncDecl) string {
@@ -148,29 +135,22 @@ func declKind(d *ast.FuncDecl) string {
 
 // lintGenDecl handles const/var/type groups: the group doc covers its
 // members, so a finding fires only when neither the group nor the spec
-// carries a comment.
-func lintGenDecl(report func(token.Pos, string, ...any), d *ast.GenDecl) int {
-	if d.Tok != token.CONST && d.Tok != token.VAR && d.Tok != token.TYPE {
-		return 0
-	}
-	findings := 0
+// carries a comment. Import groups hold neither spec kind.
+func lintGenDecl(report func(token.Pos, string, ...any), d *ast.GenDecl) {
 	for _, spec := range d.Specs {
 		switch s := spec.(type) {
 		case *ast.TypeSpec:
 			if s.Name.IsExported() && d.Doc == nil && s.Doc == nil {
 				report(s.Pos(), "exported type %s has no doc comment", s.Name.Name)
-				findings++
 			}
 		case *ast.ValueSpec:
 			for _, name := range s.Names {
 				if name.IsExported() && d.Doc == nil && s.Doc == nil && s.Comment == nil {
 					report(s.Pos(), "exported %s %s has no doc comment", d.Tok, name.Name)
-					findings++
 				}
 			}
 		}
 	}
-	return findings
 }
 
 // xrefPattern matches Go doc-link references in doc comments:
@@ -355,6 +335,63 @@ func lintLinks(file string) int {
 			if _, err := os.Stat(filepath.Join(dir, target)); err != nil {
 				fmt.Printf("%s:%d: broken link %q\n", file, i+1, m[1])
 				findings++
+			}
+		}
+	}
+	return findings
+}
+
+// testRefPattern matches a Test, Benchmark or Fuzz function name cited
+// in prose. A trailing * makes it a prefix; a /subtest suffix is not
+// part of the match.
+var testRefPattern = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
+
+// testDeclPattern matches a Test, Benchmark or Fuzz function declaration.
+var testDeclPattern = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+
+// lintTestRefs checks that every test name the markdown files cite is
+// declared in some _test.go file below the working directory. Hidden
+// directories are skipped: they hold build caches and other checkouts,
+// whose tests would vouch for names this tree no longer declares.
+func lintTestRefs(files []string) int {
+	var declared []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		for _, m := range testDeclPattern.FindAllSubmatch(b, -1) {
+			declared = append(declared, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		return 1
+	}
+	findings := 0
+	for _, file := range files {
+		b, err := os.ReadFile(file)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+			findings++
+			continue
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, ref := range testRefPattern.FindAllString(line, -1) {
+				name, prefix := strings.CutSuffix(ref, "*")
+				if !slices.ContainsFunc(declared, func(d string) bool {
+					return d == name || prefix && strings.HasPrefix(d, name)
+				}) {
+					fmt.Printf("%s:%d: %s is not declared in any _test.go\n", file, i+1, ref)
+					findings++
+				}
 			}
 		}
 	}

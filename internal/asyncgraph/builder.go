@@ -48,11 +48,6 @@ func captureStack() []string {
 type Config struct {
 	// Promises tracks promise creation, settlement, and reactions.
 	Promises bool
-	// ChainAnalysis maintains per-settlement promise-chain bookkeeping
-	// (walking the chain on every settle, as the tool's on-the-fly
-	// promise analyses do). It is the costly part of promise tracking
-	// and exists as an explicit knob for the overhead ablation.
-	ChainAnalysis bool
 	// DebugStacks captures the Go call stack (runtime.Callers, resolved
 	// to display frames) at every promise/emitter creation, trigger, and
 	// callback registration, attaching it to the created node
@@ -66,7 +61,7 @@ type Config struct {
 
 // DefaultConfig tracks everything; DebugStacks stays opt-in.
 func DefaultConfig() Config {
-	return Config{Promises: true, ChainAnalysis: true}
+	return Config{Promises: true}
 }
 
 // pendingCR is one entry of the paper's L_pending lists: a registration
@@ -111,10 +106,6 @@ type Builder struct {
 	ctByTrig map[uint64]NodeID
 	pcrFree  *pendingCR
 
-	// chainUp records, for ChainAnalysis, each promise's upstream
-	// promise in the chain (derived → source).
-	chainUp map[uint64]uint64
-
 	// labels interns rendered node labels: a hot call site (a server
 	// handler registering the same callback per request, a loop
 	// resolving promises at one line) renders its label once instead of
@@ -157,7 +148,6 @@ func NewBuilder(cfg Config) *Builder {
 		pending:  make(map[*vm.Function]*pendingCR, 32),
 		byRegSeq: make(map[uint64]*pendingCR, 32),
 		ctByTrig: make(map[uint64]NodeID, 32),
-		chainUp:  make(map[uint64]uint64, 32),
 		labels:   make(map[labelKey]string, 32),
 
 		countLabels: make(map[countKey]string, 16),
@@ -235,7 +225,6 @@ func (b *Builder) Reset() {
 	clear(b.pending)
 	clear(b.byRegSeq)
 	clear(b.ctByTrig)
-	clear(b.chainUp)
 	for i := range b.sstack {
 		b.sstack[i] = frame{}
 	}
@@ -345,9 +334,6 @@ func (b *Builder) APICall(ev *vm.APIEvent) {
 		// The promise returned from a then callback joins the chain:
 		// △⇠link⇠△.
 		b.g.AddEdge(b.g.ObjNode(ev.Receiver.ID), b.relatedOB(ev, 0), EdgeRelation, "link")
-		if b.cfg.ChainAnalysis && len(ev.Related) > 0 {
-			b.chainUp[ev.Related[0].ID] = ev.Receiver.ID
-		}
 		return
 	case "clearTimeout", "clearInterval", "clearImmediate",
 		events.APIRemoveListener, events.APIRemoveAllListeners:
@@ -370,9 +356,6 @@ func (b *Builder) APICall(ev *vm.APIEvent) {
 	// A handler-less then/catch still extends the promise chain.
 	if len(ev.Related) > 0 && ev.Receiver.Kind == vm.ObjPromise {
 		b.g.AddEdge(b.g.ObjNode(ev.Receiver.ID), b.relatedOB(ev, 0), EdgeRelation, ev.Event)
-		if b.cfg.ChainAnalysis {
-			b.chainUp[ev.Related[0].ID] = ev.Receiver.ID
-		}
 	}
 }
 
@@ -393,9 +376,6 @@ func (b *Builder) addPromiseOB(ev *vm.APIEvent) {
 	}
 	for _, in := range ev.Related {
 		b.g.AddEdge(b.g.ObjNode(in.ID), n.ID, EdgeRelation, ev.Event)
-		if b.cfg.ChainAnalysis {
-			b.chainUp[ev.Receiver.ID] = in.ID
-		}
 	}
 }
 
@@ -427,9 +407,6 @@ func (b *Builder) addEmitterOB(ev *vm.APIEvent) {
 // then falls back to the □→○ causal edge.
 func (b *Builder) addTrigger(ev *vm.APIEvent) {
 	if ev.Loc.IsInternal() {
-		if b.cfg.ChainAnalysis && ev.Receiver.Kind == vm.ObjPromise {
-			b.walkChain(ev.Receiver.ID)
-		}
 		return
 	}
 	n := b.g.blankNode()
@@ -445,27 +422,13 @@ func (b *Builder) addTrigger(ev *vm.APIEvent) {
 	if b.cfg.DebugStacks {
 		n.Stack = captureStack()
 	}
-	if b.cfg.ChainAnalysis && ev.Receiver.Kind == vm.ObjPromise && len(ev.Args) > 0 {
+	if ev.Receiver.Kind == vm.ObjPromise && len(ev.Args) > 0 {
 		n.ValueStr = renderValue(ev.Args[0])
 	}
 	// Tie the trigger to its object for readability (emit('x') ⇠ E1).
 	if ob := b.g.ObjNode(ev.Receiver.ID); ob != NoNode {
 		b.g.AddEdge(n.ID, ob, EdgeRelation, ev.Event)
 	}
-	if b.cfg.ChainAnalysis && ev.Receiver.Kind == vm.ObjPromise {
-		b.walkChain(ev.Receiver.ID)
-	}
-}
-
-// walkChain traverses a promise's upstream chain. The traversal result
-// feeds the tool's on-the-fly promise analyses; its cost is what the
-// ChainAnalysis knob toggles.
-func (b *Builder) walkChain(id uint64) int {
-	depth := 0
-	for cur, ok := b.chainUp[id]; ok && depth < 1024; cur, ok = b.chainUp[cur] {
-		depth++
-	}
-	return depth
 }
 
 // addRegistration creates the □ node for a callback-registering API use
@@ -505,9 +468,6 @@ func (b *Builder) addRegistration(ev *vm.APIEvent) {
 	}
 	if len(ev.Related) > 0 && ev.Receiver.Kind == vm.ObjPromise {
 		b.g.AddEdge(b.g.ObjNode(ev.Receiver.ID), b.relatedOB(ev, 0), EdgeRelation, ev.Event)
-		if b.cfg.ChainAnalysis {
-			b.chainUp[ev.Related[0].ID] = ev.Receiver.ID
-		}
 	}
 }
 

@@ -355,6 +355,25 @@ func TestNoPromiseConfigSkipsPromiseNodes(t *testing.T) {
 	}
 }
 
+// TestPromiseTriggerRendersValue: a promise resolved at a user location
+// gets a CT node whose ValueStr is the rendered settlement value; with
+// Promises off the same program builds no promise CT node.
+func TestPromiseTriggerRendersValue(t *testing.T) {
+	program := func(l *eventloop.Loop) { promise.Resolved(l, loc.Here(), 42) }
+	cts := build(t, DefaultConfig(), program).Graph().NodesOfKind(CT)
+	if len(cts) != 1 {
+		t.Fatalf("CT nodes = %d, want 1 (the resolve)", len(cts))
+	}
+	if cts[0].API != promise.APIResolve || cts[0].ValueStr != "42" {
+		t.Fatalf("CT node API %q ValueStr %q, want %q and \"42\"", cts[0].API, cts[0].ValueStr, promise.APIResolve)
+	}
+	cfg := DefaultConfig()
+	cfg.Promises = false
+	if cts := build(t, cfg, program).Graph().NodesOfKind(CT); len(cts) != 0 {
+		t.Fatalf("Promises=false built %d CT node(s), first %q", len(cts), cts[0].API)
+	}
+}
+
 func TestTickLimitTruncationKeepsGraph(t *testing.T) {
 	l := eventloop.New(eventloop.Options{TickLimit: 10})
 	b := NewBuilder(DefaultConfig())

@@ -71,11 +71,17 @@ func caseGraphLogs(tb testing.TB) map[string][]byte {
 // corpus produces passes the validation and re-serializes to the same
 // bytes.
 func TestReadJSONRoundTripsCaseGraphs(t *testing.T) {
+	values := 0
 	for id, log := range caseGraphLogs(t) {
 		g, err := asyncgraph.ReadJSON(bytes.NewReader(log))
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 			continue
+		}
+		for _, n := range g.Nodes {
+			if n.ValueStr != "" {
+				values++
+			}
 		}
 		var again bytes.Buffer
 		if err := g.WriteJSON(&again); err != nil {
@@ -84,6 +90,11 @@ func TestReadJSONRoundTripsCaseGraphs(t *testing.T) {
 		if !bytes.Equal(again.Bytes(), log) {
 			t.Errorf("%s: JSON round trip changed the log", id)
 		}
+	}
+	// Promise triggers log their settlement value as "value"; the byte
+	// comparison covers that field only if some case logs one.
+	if values == 0 {
+		t.Error(`no case graph read back a node "value"`)
 	}
 }
 

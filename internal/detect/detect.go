@@ -104,23 +104,15 @@ type Config struct {
 	// Races enables the experimental race detector (the paper's §IX
 	// ongoing work) over state.Cell accesses.
 	Races bool
-	// OnTheFlyChains re-evaluates promise-chain structure (chain walk
-	// to the root plus a leaf rescan) on every promise registration and
-	// settlement, as AsyncG's on-the-fly promise analyses do, instead
-	// of only at Finish. It changes when warnings become observable,
-	// and it is the dominant cost of promise tracking — the overhead
-	// the paper's Fig. 6(a) "withpromise" setting measures.
-	OnTheFlyChains bool
 }
 
 // DefaultConfig enables everything with the paper's behaviour.
 func DefaultConfig() Config {
 	return Config{
-		Scheduling:     true,
-		Emitters:       true,
-		Promises:       true,
-		Races:          true,
-		OnTheFlyChains: true,
+		Scheduling: true,
+		Emitters:   true,
+		Promises:   true,
+		Races:      true,
 	}
 }
 

@@ -16,7 +16,6 @@ type pState struct {
 	kind      string // "constructor", "then", "catch", "async", "all", ...
 	createdAt loc.Loc
 	settled   bool
-	rejected  bool
 
 	hasReaction bool // any then/catch/finally/await/combinator/adoption
 	// valueConsumed: something observes the fulfillment *value* (a
@@ -64,62 +63,8 @@ func (a *Analyzer) promiseState(id uint64) *pState {
 	return st
 }
 
-// chainRoot walks to the top of a promise's chain.
-func (a *Analyzer) chainRoot(id uint64) *pState {
-	st := a.promises[id]
-	for depth := 0; st != nil && st.parent != 0 && depth < 4096; depth++ {
-		up, ok := a.promises[st.parent]
-		if !ok {
-			break
-		}
-		st = up
-	}
-	return st
-}
-
-// refreshChain is the on-the-fly analysis: starting from the chain root
-// of the touched promise, rescan the chain and recompute leaf status.
-// The traversal result (leaf count and whether every leaf terminates in
-// a rejection handler) is what the live missing-reject analysis keys on;
-// performing it per promise event is the tool's promise-tracking cost.
-func (a *Analyzer) refreshChain(id uint64) (leaves int, handled bool) {
-	root := a.chainRoot(id)
-	if root == nil {
-		return 0, true
-	}
-	handled = true
-	var walk func(st *pState, depth int)
-	walk = func(st *pState, depth int) {
-		if depth > 4096 {
-			return
-		}
-		if len(st.children) == 0 {
-			leaves++
-			if isDerivedKind(st.kind) && st.kind != "catch" &&
-				!st.createdWithReject && !st.awaited {
-				handled = false
-			}
-			return
-		}
-		for _, child := range st.children {
-			if cs, ok := a.promises[child]; ok {
-				walk(cs, depth+1)
-			}
-		}
-	}
-	walk(root, 0)
-	return leaves, handled
-}
-
 // promiseAPICall processes promise-related API events.
 func (a *Analyzer) promiseAPICall(ev *vm.APIEvent) {
-	if a.cfg.OnTheFlyChains && ev.Receiver.Kind == vm.ObjPromise {
-		switch ev.API {
-		case promise.APIThen, promise.APICatch, promise.APIFinally,
-			promise.APIResolve, promise.APIReject, promise.APILink:
-			defer a.refreshChain(ev.Receiver.ID)
-		}
-	}
 	switch ev.API {
 	case promise.APICreate:
 		st := a.promiseState(ev.Receiver.ID)
@@ -191,7 +136,6 @@ func (a *Analyzer) promiseAPICall(ev *vm.APIEvent) {
 			return
 		}
 		st.settled = true
-		st.rejected = ev.API == promise.APIReject
 
 	case promise.APILink:
 		inner := a.promiseState(ev.Receiver.ID)

@@ -141,7 +141,6 @@ func RunSetting(setting Setting, load LoadSpec) (Fig6aRow, error) {
 	case NoPromise:
 		cfg := asyncgraph.DefaultConfig()
 		cfg.Promises = false
-		cfg.ChainAnalysis = false
 		b = asyncgraph.NewBuilder(cfg)
 		d := detect.DefaultConfig()
 		d.Promises = false

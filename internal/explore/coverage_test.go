@@ -120,20 +120,35 @@ func outcomeMaps(r *Result) (map[string]Outcome, map[string]Outcome) {
 }
 
 // TestPORSoundness is the partial-order-reduction acceptance property:
-// on every case the pruned exhaustive enumeration produces exactly the
+// on every case, and on two small AcmeAir loads under I/O ordering alone,
+// the pruned exhaustive enumeration produces exactly the
 // always/sometimes/never classification of the unpruned one while never
 // executing more schedules — and on the fan-out case, whose I/O
 // completions are pairwise independent, it executes measurably fewer
 // with a non-zero PrunedPicks count.
 func TestPORSoundness(t *testing.T) {
-	kinds := []eventloop.ChoiceKind{eventloop.ChoiceIOOrder, eventloop.ChoiceLatency}
+	type row struct {
+		id    string
+		tg    Target
+		kinds []eventloop.ChoiceKind
+	}
+	var rows []row
 	for _, id := range []string{"SO-17894000", "GH-vuex-2", "GH-flock-13", "SO-50996870", "fanout-join"} {
-		tg := caseTarget(t, id)
-		full := mustRun(t, tg, WithRuns(3000), WithStrategy(NewExhaustive(false)), WithKinds(kinds...))
-		pruned := mustRun(t, tg, WithRuns(3000), WithStrategy(NewExhaustive(true)), WithKinds(kinds...))
+		rows = append(rows, row{id, caseTarget(t, id), []eventloop.ChoiceKind{eventloop.ChoiceIOOrder, eventloop.ChoiceLatency}})
+	}
+	for _, requests := range []int{2, 3} {
+		tg := AcmeAirTarget(requests, 2, 1)
+		rows = append(rows, row{tg.Name, tg, []eventloop.ChoiceKind{eventloop.ChoiceIOOrder}})
+	}
+	for _, r := range rows {
+		id := r.id
+		full := mustRun(t, r.tg, WithRuns(5000), WithStrategy(NewExhaustive(false)), WithKinds(r.kinds...))
+		pruned := mustRun(t, r.tg, WithRuns(5000), WithStrategy(NewExhaustive(true)), WithKinds(r.kinds...))
 		if !full.Exhausted || !pruned.Exhausted {
 			t.Fatalf("%s: enumeration truncated (full=%v pruned=%v); raise the budget", id, full.Exhausted, pruned.Exhausted)
 		}
+		t.Logf("%s: %d → %d runs, %d and %d fingerprints",
+			id, len(full.Runs), len(pruned.Runs), full.NewGraphs, pruned.NewGraphs)
 		fw, fc := outcomeMaps(full)
 		pw, pc := outcomeMaps(pruned)
 		if !reflect.DeepEqual(fw, pw) {

@@ -68,6 +68,13 @@ func TargetByName(spec string) (Target, error) {
 	}
 }
 
+// maxAcmeAirClients bounds an acmeair spec's clients. The workload
+// driver issues one login per client within a single tick, and the loop
+// polls its interrupt only between ticks, so a spec from a job body or
+// a fleet plan that named millions could not be cancelled. Fig. 6 runs
+// 16.
+const maxAcmeAirClients = 1024
+
 // acmeAirFromSpec parses the "requests=N,clients=N,seed=N" parameter
 // list of an acmeair spec; unset keys keep their defaults.
 func acmeAirFromSpec(params string) (Target, error) {
@@ -80,23 +87,24 @@ func acmeAirFromSpec(params string) (Target, error) {
 		if !ok {
 			return Target{}, fmt.Errorf("explore: acmeair parameter %q is not key=value", part)
 		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return Target{}, fmt.Errorf("explore: acmeair parameter %s=%q: %v", key, val, err)
-		}
+		var err error
 		switch key {
 		case "requests":
-			requests = int(n)
+			requests, err = strconv.Atoi(val)
 		case "clients":
-			clients = int(n)
+			clients, err = strconv.Atoi(val)
 		case "seed":
-			seed = n
+			seed, err = strconv.ParseInt(val, 10, 64)
 		default:
 			return Target{}, fmt.Errorf("explore: unknown acmeair parameter %q (requests, clients, seed)", key)
 		}
+		if err != nil {
+			return Target{}, fmt.Errorf("explore: acmeair parameter %s=%q: %v", key, val, err)
+		}
 	}
-	if requests <= 0 || clients <= 0 {
-		return Target{}, fmt.Errorf("explore: acmeair requires positive requests and clients (got %d, %d)", requests, clients)
+	if requests <= 0 || clients <= 0 || clients > maxAcmeAirClients {
+		return Target{}, fmt.Errorf("explore: acmeair requires positive requests and 1..%d clients (got %d, %d)",
+			maxAcmeAirClients, requests, clients)
 	}
 	return AcmeAirTarget(requests, clients, seed), nil
 }

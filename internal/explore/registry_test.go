@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -35,6 +36,10 @@ func TestTargetByNameSpecs(t *testing.T) {
 		"acmeair:requests",
 		"acmeair:bogus=1",
 		"acmeair:requests=many",
+		// 2^IntSize+1 overflows int; parsed as an int64 and converted,
+		// it would wrap to 1 where int is 32 bits.
+		"acmeair:requests=" + map[int]string{32: "4294967297", 64: "18446744073709551617"}[strconv.IntSize] + ",clients=2",
+		"acmeair:clients=" + strconv.Itoa(maxAcmeAirClients+1),
 	}
 	for _, spec := range bad {
 		if _, err := TargetByName(spec); err == nil {
