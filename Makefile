@@ -67,9 +67,10 @@ race-explore:
 # render as DOT and SVG, and re-serialize stably; their seeds are the
 # case corpus' graphs, some over 100 KB. Fingerprints must not move when
 # nodes are renumbered or edges reordered, and must move when one node
-# or edge attribute changes. A schedule token on a case-study target
-# must give the same fingerprint, warnings, run error, tick count and
-# causal chains on a fresh runner, on a reset runner and through Replay.
+# or edge attribute changes. A schedule token on a case-study or AcmeAir
+# target must give the same fingerprint, warnings, run error, tick count
+# and causal chains on a fresh runtime, on a reused one (for AcmeAir, one
+# that first served another load) and through Replay.
 # On a synthetic choice tree, the exhaustive strategy must plan every run
 # as the reference enumeration of copied prefixes does, with one or two
 # runs in flight, and report the same Exhausted flag and POR census.

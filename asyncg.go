@@ -67,6 +67,7 @@ const (
 // config is the resolved session configuration built by Options.
 type config struct {
 	loop        eventloop.Options
+	loopSet     bool
 	det         detect.Config
 	detSet      bool
 	disabled    bool
@@ -86,7 +87,7 @@ type Option func(*config)
 // WithLoop configures the event-loop simulator, for example its tick
 // limit.
 func WithLoop(opts eventloop.Options) Option {
-	return func(c *config) { c.loop = opts }
+	return func(c *config) { c.loop = opts; c.loopSet = true }
 }
 
 // WithScheduler installs a schedule-exploration scheduler on the event
@@ -235,13 +236,14 @@ func New(opts ...Option) *Session {
 	if !cfg.disabled && !cfg.detSet {
 		cfg.det = detect.DefaultConfig()
 	}
+	loop := cfg.loop
 	if cfg.sched != nil {
-		cfg.loop.Scheduler = cfg.sched
+		loop.Scheduler = cfg.sched
 	}
 	if cfg.interrupt != nil {
-		cfg.loop.Interrupt = cfg.interrupt
+		loop.Interrupt = cfg.interrupt
 	}
-	s := &Session{cfg: cfg, loop: eventloop.New(cfg.loop)}
+	s := &Session{cfg: cfg, loop: eventloop.New(loop)}
 	if !cfg.disabled {
 		graph := asyncgraph.DefaultConfig()
 		graph.DebugStacks = cfg.debugStacks
@@ -335,7 +337,10 @@ func (s *Session) Reset() {
 // Apply installs per-run options on a warm session. Only the options
 // that may legitimately differ between reused runs take effect: the
 // scheduler (WithScheduler — schedule exploration hands every run a
-// fresh recording) and the interrupt context (WithContext). Structural
+// fresh recording) and the interrupt context (WithContext). A per-run
+// option left out means what New uses without it, the scheduler and
+// interrupt of the session's WithLoop options: by default the loop's
+// own picks and no interrupt, never the previous caller's. Structural
 // options — tracing, metrics, graph and detector configuration — are
 // fixed at New; passing them here is a no-op, which lets callers forward
 // the same option slice they would give a fresh session.
@@ -348,12 +353,33 @@ func (s *Session) Apply(opts ...Option) {
 	for _, opt := range opts {
 		opt(c)
 	}
+	sched, interrupt := s.cfg.loop.Scheduler, s.cfg.loop.Interrupt
 	if c.sched != nil {
-		s.loop.SetScheduler(c.sched)
+		sched = c.sched
 	}
 	if c.interrupt != nil {
-		s.loop.SetInterrupt(c.interrupt)
+		interrupt = c.interrupt
 	}
+	s.loop.SetScheduler(sched)
+	s.loop.SetInterrupt(interrupt)
+}
+
+// Structure tells which session structure New(opts...) builds, for
+// callers that keep rewound sessions for later runs. ok reports that
+// opts set nothing but WithMetrics and the per-run options Apply
+// installs (WithScheduler, WithContext); metrics reports whether
+// WithMetrics is among them. Two such lists with equal metrics, each
+// after the same leading options, build interchangeable sessions: a
+// session built from one, once Reset and Applied with the other, runs
+// as a fresh session built from the other would. Any other option
+// (WithLoop, WithDetect, Disabled, WithTrace, WithDebugStacks) makes ok
+// false.
+func Structure(opts ...Option) (metrics, ok bool) {
+	var c config
+	for _, opt := range opts {
+		opt(&c)
+	}
+	return c.metricsOn, !c.loopSet && !c.detSet && !c.disabled && !c.traceOn && !c.debugStacks
 }
 
 // Run executes program as the main tick and processes the event loop to

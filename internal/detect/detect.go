@@ -259,12 +259,7 @@ func (a *Analyzer) Reset() {
 	}
 	clear(a.emitters)
 	for _, st := range a.promises {
-		children := st.children
-		for i := range children {
-			children[i] = 0
-		}
 		*st = pState{}
-		st.children = children[:0]
 		a.pFree = append(a.pFree, st)
 	}
 	clear(a.promises)

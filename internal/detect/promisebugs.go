@@ -28,8 +28,11 @@ type pState struct {
 	awaited           bool
 	linked            bool
 
-	parent   uint64
-	children []uint64
+	parent uint64
+	// continued: the chain goes on past this promise — a then, catch or
+	// finally derived a promise from it, a combinator took it as an
+	// input, or another promise adopted it.
+	continued bool
 }
 
 // mrCandidate is a potential missing-return bug: a fulfillment handler
@@ -76,7 +79,7 @@ func (a *Analyzer) promiseAPICall(ev *vm.APIEvent) {
 			inSt := a.promiseState(in.ID)
 			inSt.hasReaction = true
 			inSt.valueConsumed = true
-			inSt.children = append(inSt.children, ev.Receiver.ID)
+			inSt.continued = true
 			if st.parent == 0 {
 				st.parent = in.ID
 			}
@@ -111,7 +114,7 @@ func (a *Analyzer) promiseAPICall(ev *vm.APIEvent) {
 			derived := a.promiseState(ev.Related[0].ID)
 			derived.parent = ev.Receiver.ID
 			derived.createdWithReject = withReject
-			src.children = append(src.children, ev.Related[0].ID)
+			src.continued = true
 			for _, reg := range ev.Regs {
 				a.regDerived[reg.Seq] = ev.Related[0].ID
 			}
@@ -143,7 +146,7 @@ func (a *Analyzer) promiseAPICall(ev *vm.APIEvent) {
 		inner.hasReaction = true
 		inner.valueConsumed = true
 		if len(ev.Related) > 0 {
-			inner.children = append(inner.children, ev.Related[0].ID)
+			inner.continued = true
 		}
 	}
 }
@@ -234,7 +237,7 @@ func (a *Analyzer) finishPromises() {
 	// §VI-A.3(c): every promise chain must end with a reject reaction.
 	// The check is structural: no exception needs to be thrown.
 	for _, st := range ordered {
-		if len(st.children) > 0 || !isDerivedKind(st.kind) {
+		if st.continued || !isDerivedKind(st.kind) {
 			continue
 		}
 		if st.kind == "catch" || st.createdWithReject || st.awaited {

@@ -44,8 +44,8 @@ type allocWorkload struct {
 // seed 0, metrics and chains on.
 var allocWorkloads = []allocWorkload{
 	{"case-random", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, false, false, [2]float64{20.01, 23.04}},
-	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{2203.68, 2449.13}},
-	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{1497.19, 1594.72}},
+	{"acmeair-coverage", "acmeair:requests=50,clients=4,seed=1", 64, func() Strategy { return NewCoverage(1) }, 1, false, false, [2]float64{1933.53, 2175.06}},
+	{"acmeair-exhaustive", "acmeair:requests=8,clients=2,seed=1", 128, func() Strategy { return NewExhaustive(true) }, 1, false, false, [2]float64{1413.79, 1515.45}},
 	{"case-coverage", "case:SO-17894000", 64, func() Strategy { return NewCoverage(1) }, 8, false, false, [2]float64{22.94, 23.65}},
 	{"case-random-metrics", "case:SO-17894000", 256, func() Strategy { return NewRandom(1) }, 8, true, false, [2]float64{30.48, 31.70}},
 	{"serve-starvation", "case:GH-npm-12754", 64, func() Strategy { return NewRandom(0) }, 8, true, true, [2]float64{51.95, 61.65}},
@@ -56,8 +56,12 @@ var allocWorkloads = []allocWorkload{
 // with allocTolerance of slack. Allocation counts do not depend on the
 // host's speed, so unlike wall time they can be gated on a shared
 // machine; two workers vary with how the runs interleave, hence the
-// slack. The race detector allocates on its own account, so a -race
-// build skips the gate.
+// slack. An AcmeAir exploration takes its runtimes from the idle list
+// that the warm-up exploration of testing.AllocsPerRun fills. Since
+// AllocsPerRun runs at GOMAXPROCS 1, the list keeps one runtime per
+// structure, and at 2 workers the second is built in every exploration.
+// The race detector allocates on its own account, so a -race build skips
+// the gate.
 func TestAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not comparable under -race")
@@ -105,14 +109,20 @@ const frontierMemoryLimit = 8 << 20
 // frontierMemoryLimit of live heap. A frontier that copies each
 // discovered prefix retains about 49 MB here; one that keeps each
 // branching run's recording once, with a fixed-size entry per prefix,
-// retains about 2 MB. The race detector allocates on its own account,
-// so a -race build skips the gate.
+// retains about 2 MB. The exploration takes its runtime from the AcmeAir
+// idle list and hands it back, so a short exploration first makes sure
+// one is idle: otherwise the runtime it builds would be counted too. The
+// race detector allocates on its own account, so a -race build skips
+// the gate.
 func TestExhaustiveFrontierMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not comparable under -race")
 	}
 	tg, err := TargetByName("acmeair:requests=8,clients=2,seed=1")
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(context.Background(), tg, WithRuns(64), WithWorkers(1), WithStrategy(NewExhaustive(true))); err != nil {
 		t.Fatal(err)
 	}
 	strat := NewExhaustive(true)
@@ -129,6 +139,49 @@ func TestExhaustiveFrontierMemory(t *testing.T) {
 	t.Logf("strategy retains %.2f MB after 1,024 runs (limit %d MB)", float64(retained)/(1<<20), frontierMemoryLimit>>20)
 	if retained >= frontierMemoryLimit {
 		t.Error("the strategy retains more than the limit")
+	}
+}
+
+// idleMemoryLimit bounds the heap the AcmeAir idle list retains after
+// an exploration of acmeair-coverage's load (see TestAcmeAirIdleMemory).
+const idleMemoryLimit = 5 << 20
+
+// TestAcmeAirIdleMemory is the retained-memory gate of the AcmeAir idle
+// list. With GOMAXPROCS at 2, a 4-worker exploration of
+// acmeair-coverage's load builds four runtimes, and only two may stay
+// idle once it returns, rewound and detached from the exploration: with
+// the Result dropped, the heap must have grown by less than
+// idleMemoryLimit. Two idle runtimes hold 2.4 to 3.2 MB after this
+// exploration (fifteen passes) and four read 6.4 MB. What a runtime holds grows with the
+// largest run it has served, to about 2.5 MB after many explorations of
+// this load, so the limit is for this exploration only. The race detector allocates on its own account, so a
+// -race build skips the gate.
+func TestAcmeAirIdleMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not comparable under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tg, err := TargetByName("acmeair:requests=50,clients=4,seed=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A first exploration fills the process-wide caches (call sites,
+	// interned labels) that outlive every runtime.
+	if _, err := Run(context.Background(), tg, WithRuns(8), WithWorkers(1), WithStrategy(NewCoverage(2))); err != nil {
+		t.Fatal(err)
+	}
+	drainAcmeAirIdle()
+	before := liveHeap()
+	if _, err := Run(context.Background(), tg, WithRuns(64), WithWorkers(4), WithStrategy(NewCoverage(1))); err != nil {
+		t.Fatal(err)
+	}
+	retained := int64(liveHeap()) - int64(before)
+	t.Logf("the idle list retains %.2f MB in %d runtimes (limit %d MB)", float64(retained)/(1<<20), idleAcmeAirRuntimes(false), idleMemoryLimit>>20)
+	if n := idleAcmeAirRuntimes(false); n != 2 {
+		t.Errorf("%d idle runtimes, want GOMAXPROCS = 2", n)
+	}
+	if retained >= idleMemoryLimit {
+		t.Error("the idle list retains more than the limit")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"sync"
 
 	"asyncg"
 	"asyncg/internal/acmeair"
@@ -51,8 +52,8 @@ type Target struct {
 // requires a cold runner — freshly created or Reset since the previous
 // Run — and threads per-run options (the engine's scheduler, context,
 // metrics) into the underlying session; Reset rewinds the runtime while
-// retaining its allocations. See asyncg.Session.Reset for the identity
-// contract reusable runners rely on.
+// retaining its allocations, and may hand it on (see acmeAirIdle). See
+// asyncg.Session.Reset for the identity contract reusable runners rely on.
 type Runner interface {
 	Run(extra ...asyncg.Option) (*asyncg.Report, error)
 	Reset()
@@ -121,52 +122,51 @@ func CaseTargetByID(id string, fixed bool) (Target, error) {
 // seed. Both the one-shot fallback and the reusable runner execute
 // through acmeAirRunner, so every schedule runs the same code path (and
 // the same source locations — graph labels and fingerprints depend on
-// them) whichever of the two a worker uses.
+// them) whichever of the two a worker uses. The fallback builds a new
+// runtime per call; reusable runners share rewound ones (acmeAirIdle).
 func AcmeAirTarget(requests, clients int, seed int64) Target {
-	newRunner := func() Runner {
-		return &acmeAirRunner{requests: requests, clients: clients, seed: seed}
-	}
+	load := acmeAirRunner{requests: requests, clients: clients, seed: seed}
 	return Target{
 		Name: fmt.Sprintf("acmeair[requests=%d,clients=%d,seed=%d]", requests, clients, seed),
 		Run: func(extra ...asyncg.Option) (*asyncg.Report, error) {
-			return newRunner().Run(extra...)
+			r := load
+			return r.Run(extra...)
 		},
-		NewRunner: newRunner,
+		NewRunner: func() Runner {
+			r := load
+			r.shared = true
+			return &r
+		},
 	}
 }
 
-// acmeAirRunner reuses one session (loop, network, database, graph
-// builder, detectors) across repeated AcmeAir executions. The sample data
-// is loaded and sealed once, so Reset restores it (mongosim.DB.Seal); the
-// application and workload driver are rebuilt per run from warm pools.
+// acmeAirRunner runs one AcmeAir load on an acmeAirRuntime, which the
+// load does not shape: the application and the workload driver are
+// rebuilt per run from the runtime's warm pools. A shared runner takes a
+// runtime from acmeAirIdle when it has none and hands it back at Reset.
 type acmeAirRunner struct {
 	requests, clients int
 	seed              int64
+	shared            bool // made by NewRunner; Target.Run's runners are not
 
-	session *asyncg.Session
-	net     *netio.Network
-	db      *mongosim.DB
+	rt *acmeAirRuntime // nil before Run and after Reset hands it in
 }
 
 func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
-	if r.session == nil {
-		opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 100_000_000})}, extra...)
-		r.session = asyncg.New(opts...)
-		loop := r.session.Loop()
-		r.net = netio.New(loop)
-		r.db = mongosim.New(loop)
-		acmeair.LoadSampleData(r.db, acmeair.DefaultDataSpec())
-		r.db.Seal()
+	if r.rt == nil {
+		r.rt = acmeAirRuntimeFor(r.shared, extra)
 	} else {
-		r.session.Apply(extra...)
+		r.rt.session.Apply(extra...)
 	}
-	app := acmeair.New(r.session.Loop(), r.net, r.db)
-	driver := workload.NewDriver(r.net, workload.Options{
+	// Every line from here to the end of Run keeps its place: graph
+	// labels, and so fingerprints, hold these lines' numbers.
+	app := acmeair.New(r.rt.session.Loop(), r.rt.net, r.rt.db)
+	driver := workload.NewDriver(r.rt.net, workload.Options{
 		Clients:  r.clients,
 		Requests: r.requests,
 		Seed:     r.seed,
 	})
-	return r.session.Run(func(*asyncg.Context) {
+	return r.rt.session.Run(func(*asyncg.Context) {
 		if err := app.Listen(loc.Here()); err != nil {
 			panic(err)
 		}
@@ -174,10 +174,101 @@ func (r *acmeAirRunner) Run(extra ...asyncg.Option) (*asyncg.Report, error) {
 	})
 }
 
+// Reset rewinds the runtime. A shared runner hands it in to acmeAirIdle,
+// detached from the last run's scheduler and context, unless the idle
+// list of its structure is full; then the runner keeps it.
 func (r *acmeAirRunner) Reset() {
-	if r.session != nil {
-		r.session.Reset()
+	if r.rt == nil {
+		return
 	}
+	r.rt.session.Reset()
+	if r.rt.shared {
+		r.rt.session.Apply()
+		if acmeAirIdle.put(r.rt) {
+			r.rt = nil
+		}
+	}
+}
+
+// acmeAirRuntime is what an AcmeAir run needs besides its load: a
+// session (loop, graph builder, detectors), the simulated network, and
+// the sample data, loaded and sealed once so that Reset restores it
+// (mongosim.DB.Seal).
+type acmeAirRuntime struct {
+	session *asyncg.Session
+	net     *netio.Network
+	db      *mongosim.DB
+	metrics bool // its structure: built with run metrics on
+	shared  bool // goes back to acmeAirIdle at Reset
+}
+
+// acmeAirRuntimeFor returns a runtime for a run under extra: for a
+// shared runner, an idle one of the structure extra builds if there is
+// one, else a new one. Only the two structures asyncg.Structure tells
+// apart are shared; under a trace, debug stacks, Disabled, WithDetect or
+// WithLoop the runner builds a runtime it keeps.
+func acmeAirRuntimeFor(shared bool, extra []asyncg.Option) *acmeAirRuntime {
+	metrics, ok := asyncg.Structure(extra...)
+	shared = shared && ok
+	if shared {
+		if rt := acmeAirIdle.take(metrics); rt != nil {
+			rt.session.Apply(extra...)
+			return rt
+		}
+	}
+	opts := append([]asyncg.Option{asyncg.WithLoop(eventloop.Options{TickLimit: 100_000_000})}, extra...)
+	rt := &acmeAirRuntime{session: asyncg.New(opts...), metrics: metrics, shared: shared}
+	loop := rt.session.Loop()
+	rt.net = netio.New(loop)
+	rt.db = mongosim.New(loop)
+	acmeair.LoadSampleData(rt.db, acmeair.DefaultDataSpec())
+	rt.db.Seal()
+	return rt
+}
+
+// acmeAirIdle holds rewound AcmeAir runtimes between runs, so that a
+// stream of explorations (serve jobs, fleet shards, a benchmark's closed
+// loop) builds and loads each runtime once, not once per worker per
+// exploration. Runners of any load may share a runtime, but only one of
+// the structure they would build: the lists are keyed by whether run
+// metrics are on. Each list holds at most GOMAXPROCS runtimes, as many
+// as can run at once. A sync.Pool would not do: it drops what it holds
+// within two garbage collections, and with AcmeAir's small live heap
+// the collector runs many times a second.
+var acmeAirIdle = idleRuntimes{lists: make(map[bool][]*acmeAirRuntime)}
+
+// idleRuntimes is a last-in, first-out list of runtimes per structure.
+type idleRuntimes struct {
+	mu    sync.Mutex
+	lists map[bool][]*acmeAirRuntime
+}
+
+// take removes and returns the runtime of the given structure handed in
+// last, or nil if none is idle.
+func (l *idleRuntimes) take(metrics bool) *acmeAirRuntime {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	list := l.lists[metrics]
+	if len(list) == 0 {
+		return nil
+	}
+	rt := list[len(list)-1]
+	list[len(list)-1] = nil
+	l.lists[metrics] = list[:len(list)-1]
+	return rt
+}
+
+// put hands a rewound runtime in, and reports false, keeping nothing,
+// when its structure's list already holds GOMAXPROCS runtimes.
+func (l *idleRuntimes) put(rt *acmeAirRuntime) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	list := l.lists[rt.metrics]
+	if len(list) >= runtime.GOMAXPROCS(0) {
+		return false
+	}
+	l.lists[rt.metrics] = append(list, rt)
+	return true
 }
 
 // config parameterizes an exploration; it is built through the

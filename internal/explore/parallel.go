@@ -27,7 +27,11 @@ import (
 // fresh-runtime fallback otherwise) and Resets it between runs, so the
 // session's allocation set — event loop queues, graph nodes, detector
 // state, emitter and promise pools — is paid for once per worker, not
-// once per schedule. The Reset contract (asyncg.Session.Reset) makes a
+// once per schedule. A worker Resets its runner once more after its
+// last run: an AcmeAir runner then hands its runtime to the idle list
+// that the next exploration's runners take theirs from (see
+// acmeAirIdle), so a stream of explorations pays for it once. The Reset
+// contract (asyncg.Session.Reset) makes a
 // reused runtime observationally identical to a fresh one, which is
 // what keeps the worker-count and runner-reuse invariants equivalent:
 // the Result is byte-identical at any worker count, with or without
@@ -172,6 +176,7 @@ func (p *pool) work() {
 		done := doneRun{idx: idx, rr: rr, snap: snap, ch: ch, err: err}
 		idx, ch, ok = p.next(&done)
 	}
+	runner.Reset() // hands a shared runtime back for the next exploration
 }
 
 // next hands in the worker's finished run, if any, and plans its next

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"asyncg"
@@ -120,6 +122,82 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 	}
 }
 
+// drainAcmeAirIdle empties the AcmeAir idle list, so that the next
+// runtime handed in is the only idle one.
+func drainAcmeAirIdle() {
+	acmeAirIdle.mu.Lock()
+	defer acmeAirIdle.mu.Unlock()
+	clear(acmeAirIdle.lists)
+}
+
+// idleAcmeAirRuntimes counts the idle runtimes of one structure.
+func idleAcmeAirRuntimes(metrics bool) int {
+	acmeAirIdle.mu.Lock()
+	defer acmeAirIdle.mu.Unlock()
+	return len(acmeAirIdle.lists[metrics])
+}
+
+// TestRunnerReuseConcurrentExplorations holds the AcmeAir idle list to
+// the runner contract while explorations share it at once. Two streams
+// of explorations run side by side; they differ in load, strategy and
+// run-metrics setting, and each switches its metrics setting every
+// exploration, so runtimes pass between loads and between streams in
+// whatever order the goroutines interleave. Every exploration must be
+// byte-identical to the same exploration on a fresh runtime per
+// schedule.
+func TestRunnerReuseConcurrentExplorations(t *testing.T) {
+	streams := []struct {
+		target  Target
+		opts    func() []Option
+		metrics []bool
+	}{
+		{AcmeAirTarget(8, 2, 1), func() []Option { return []Option{WithStrategy(NewExhaustive(true)), WithRuns(8)} }, []bool{false, true, false}},
+		{AcmeAirTarget(6, 3, 4), func() []Option { return []Option{WithStrategy(NewCoverage(7)), WithRuns(8)} }, []bool{true, false, true}},
+	}
+	optsFor := func(opts []Option, metrics bool) []Option {
+		opts = append(opts, WithWorkers(2))
+		if metrics {
+			opts = append(opts, WithRunMetrics())
+		}
+		return opts
+	}
+	want := make([]map[bool]string, len(streams))
+	for i, s := range streams {
+		fresh := s.target
+		fresh.NewRunner = nil
+		want[i] = make(map[bool]string)
+		for _, metrics := range []bool{false, true} {
+			want[i][metrics] = resultJSON(t, mustRun(t, fresh, optsFor(s.opts(), metrics)...))
+		}
+	}
+	var wg sync.WaitGroup
+	for i, s := range streams {
+		reused := s.target
+		reused.Run = nil
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k, metrics := range s.metrics {
+				res, err := Run(context.Background(), reused, optsFor(s.opts(), metrics)...)
+				if err != nil {
+					t.Errorf("%s, exploration %d: %v", s.target.Name, k, err)
+					return
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := string(b); got != want[i][metrics] {
+					t.Errorf("%s, exploration %d (metrics %v) on shared runtimes differs from fresh runtimes\nfresh:  %s\nshared: %s",
+						s.target.Name, k, metrics, want[i][metrics], got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestAcmeAirRunnerSteadyStateAllocs gates the runner contract's
 // allocation claim on the heaviest target: once an acmeAirRunner is
 // warm, Reset+Run must recycle the session's arenas instead of
@@ -128,7 +206,9 @@ func TestRunnerReuseFleetMerge(t *testing.T) {
 // on every run whichever path executes, so the gate is relative: the
 // warm path measures ~0.35 of a fresh session's allocations on this
 // workload. Reloading the sample data per run pushes the ratio to ~0.75,
-// a Reset that stops recycling to ~1.0.
+// a Reset that stops recycling to ~1.0. The fresh leg goes through
+// Target.Run, which builds its runtime from scratch: a runner from
+// NewRunner would take a warm one from the idle list.
 func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acmeair steady-state allocation gate in -short mode")
@@ -148,7 +228,7 @@ func TestAcmeAirRunnerSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(3, func() {
-		if _, err := tg.NewRunner().Run(); err != nil {
+		if _, err := tg.Run(); err != nil {
 			t.Fatalf("fresh run: %v", err)
 		}
 	})
@@ -211,19 +291,29 @@ func runPicks(t testing.TB, r Runner, token string, picks []int) replayOutcome {
 }
 
 // FuzzReplayFreshVsReused fuzzes the determinism contract behind every
-// witness token: a schedule token on a case-study target must give the
-// same fingerprint, sorted warning keys, run error, tick count,
+// witness token: a schedule token on a case-study or AcmeAir target must
+// give the same fingerprint, sorted warning keys, run error, tick count,
 // per-warning async causal chain and Async Graph (every node, edge,
-// label and location) on a fresh runner, on a runner that first ran a
-// different schedule and was Reset, and through Replay.
-// The input is an index into the case:* registry targets and a token;
-// the seeds are the witness and counter-witness tokens of the golden
-// corpus's case-study entries.
+// label and location) on a fresh runtime, on a reused one, and through
+// Replay. The reused runtime first runs a different schedule, and then
+// is Reset: a case study's runner replays the token on its own session,
+// while an AcmeAir runtime first serves a different load and reaches the
+// token's runner through the idle list, as it does between explorations.
+// The input is an index into the case:* registry targets and the golden
+// corpus's AcmeAir targets, and a token; the seeds are the witness and
+// counter-witness tokens of the golden corpus, and the tokens of its
+// AcmeAir entries' fingerprint census.
 func FuzzReplayFreshVsReused(f *testing.F) {
 	var names []string
 	for _, info := range Targets() {
 		if strings.HasPrefix(info.Name, "case:") {
 			names = append(names, info.Name)
+		}
+	}
+	golden := loadGoldenMatrix(f)
+	for _, e := range golden {
+		if strings.HasPrefix(e.Target, "acmeair") && !slices.Contains(names, e.Target) {
+			names = append(names, e.Target)
 		}
 	}
 	targets := make([]Target, len(names))
@@ -234,30 +324,44 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 		}
 		targets[i] = tg
 	}
+	// otherLoad is the load an AcmeAir runtime serves before the token's
+	// runner takes it; no golden target runs it.
+	otherLoad := AcmeAirTarget(5, 3, 2)
 	type seed struct {
 		idx   int
 		token string
 	}
 	seen := make(map[seed]bool)
-	for _, e := range loadGoldenMatrix(f) {
-		idx := slices.Index(names, e.Target)
+	add := func(target, tok string) {
+		idx := slices.Index(names, target)
 		if idx < 0 {
-			continue // not a case study
+			f.Fatalf("golden target %s is not among the fuzzed targets", target)
 		}
+		if s := (seed{idx, tok}); tok != "" && !seen[s] {
+			seen[s] = true
+			f.Add(uint(idx), tok)
+		}
+	}
+	results := make([]Result, len(golden))
+	for i, e := range golden {
 		b, err := os.ReadFile(filepath.Join(goldenDir, e.Name+".json"))
 		if err != nil {
 			f.Fatal(err)
 		}
-		var res Result
-		if err := json.Unmarshal(b, &res); err != nil {
+		if err := json.Unmarshal(b, &results[i]); err != nil {
 			f.Fatalf("%s: %v", e.Name, err)
 		}
-		for _, ws := range res.Warnings {
-			for _, tok := range []string{ws.Witness, ws.CounterWitness} {
-				if s := (seed{idx, tok}); tok != "" && !seen[s] {
-					seen[s] = true
-					f.Add(uint(idx), tok)
-				}
+		for _, ws := range results[i].Warnings {
+			add(e.Target, ws.Witness)
+			add(e.Target, ws.CounterWitness)
+		}
+	}
+	// The AcmeAir entries share one witness, an always-warning's, so
+	// their fingerprint census seeds the distinct shapes they reached.
+	for i, e := range golden {
+		if strings.HasPrefix(e.Target, "acmeair") {
+			for _, fs := range results[i].Fingerprints {
+				add(e.Target, fs.Token)
 			}
 		}
 	}
@@ -279,7 +383,7 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 			}
 		}
 
-		fresh := runPicks(t, tg.NewRunner(), token, sched.Picks)
+		fresh := runPicks(t, funcRunner{run: tg.Run}, token, sched.Picks)
 
 		// A different schedule first: every pick one higher, and one
 		// more choice point than the token records.
@@ -287,15 +391,28 @@ func FuzzReplayFreshVsReused(f *testing.F) {
 		for i := range other {
 			other[i]++
 		}
-		r := tg.NewRunner()
-		runPicks(t, r, "", other)
-		r.Reset()
-		reused := runPicks(t, r, token, sched.Picks)
+		var reused replayOutcome
+		if r, ok := tg.NewRunner().(*acmeAirRunner); ok {
+			drainAcmeAirIdle()
+			o := otherLoad.NewRunner().(*acmeAirRunner)
+			runPicks(t, o, "", other)
+			rt := o.rt
+			o.Reset()
+			reused = runPicks(t, r, token, sched.Picks)
+			if r.rt != rt {
+				t.Fatalf("%s: the token's runner did not take the runtime %s handed in", tg.Name, otherLoad.Name)
+			}
+		} else {
+			r := tg.NewRunner()
+			runPicks(t, r, "", other)
+			r.Reset()
+			reused = runPicks(t, r, token, sched.Picks)
+		}
 
 		for _, got := range []struct {
 			name string
 			out  replayOutcome
-		}{{"fresh runner", fresh}, {"reused runner", reused}} {
+		}{{"fresh runtime", fresh}, {"reused runtime", reused}} {
 			if got.out.Graph != replayed.Graph {
 				t.Fatalf("%s, token %q: %s's graph differs from Replay's at %s", tg.Name, token, got.name, firstDiff(replayed.Graph, got.out.Graph))
 			}

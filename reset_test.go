@@ -1,6 +1,7 @@
 package asyncg_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"asyncg"
+	"asyncg/internal/eventloop"
 	"asyncg/internal/loc"
 	"asyncg/internal/mongosim"
 )
@@ -166,5 +168,43 @@ func TestSessionResetSteadyStateAllocs(t *testing.T) {
 	// TestAllocBudget gates exploration allocations per schedule.
 	if avg > 600 {
 		t.Fatalf("steady-state Reset+Run costs %.0f allocs/run, want <= 600", avg)
+	}
+}
+
+// lastPick answers every choice point with its last alternative.
+type lastPick struct{}
+
+func (lastPick) Choose(_ eventloop.ChoiceKind, n int) int { return n - 1 }
+
+// TestSessionApplyForgetsOmittedOptions: a per-run option that a call to
+// Apply leaves out means none, not the previous caller's. A session
+// whose scheduler took the last alternative at every choice point and
+// whose context was then cancelled must, after Reset and an Apply with
+// neither option, run exactly as a fresh session does.
+func TestSessionApplyForgetsOmittedOptions(t *testing.T) {
+	fresh, err := asyncg.New().Run(resetWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderReport(fresh)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	session := asyncg.New(asyncg.WithScheduler(lastPick{}), asyncg.WithContext(ctx))
+	first, err := session.Run(resetWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderReport(first) == want {
+		t.Fatal("the last-alternative scheduler ran the workload as the default picks do, so the test cannot tell them apart")
+	}
+	cancel()
+	session.Reset()
+	session.Apply()
+	report, err := session.Run(resetWorkload)
+	if err != nil {
+		t.Fatalf("run after Reset and an Apply without WithContext stopped after %d ticks: %v", report.Ticks, err)
+	}
+	if got := renderReport(report); got != want {
+		t.Errorf("run after Reset and an Apply without WithScheduler differs from a fresh session:\n--- fresh ---\n%s\n--- reused ---\n%s", want, got)
 	}
 }
